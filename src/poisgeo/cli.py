@@ -29,6 +29,7 @@ from .connection import (
 from .errors import (
     ExprSyntaxError,
     Inconclusive,
+    InvalidArgument,
     NonPolynomialBivector,
     NotPositiveDefiniteAt,
     PoisgeoError,
@@ -498,6 +499,11 @@ def cmd_construct(args):
 def cmd_cohomology(args):
     started = time.monotonic()
     spec, digest = _load_manifold(args.spec, args.samples)
+    dim = spec.chart.dim
+    if not 0 <= args.p <= dim:
+        raise InvalidArgument(f"--p {args.p} outside 0..{dim} for a {dim}-dimensional chart")
+    if args.degree < 0:
+        raise InvalidArgument(f"--degree {args.degree} must be >= 0")
     if not spec.pi.is_polynomial():
         raise NonPolynomialBivector(
             f"{args.spec}: cohomology windows need polynomial bivector entries"
@@ -603,7 +609,7 @@ def main(argv=None):
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (SpecFileError, ExprSyntaxError, NonPolynomialBivector) as exc:
+    except (SpecFileError, ExprSyntaxError, NonPolynomialBivector, InvalidArgument) as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return 2
     except FileNotFoundError as exc:

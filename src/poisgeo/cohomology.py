@@ -1,10 +1,11 @@
 """Truncated Poisson cohomology and the cochain-level comparison maps.
 
 All dimensions here are windowed: multivector coefficients are polynomials
-of bounded total degree, the differential is assembled as an exact rational
-matrix between such windows, and ranks come from integer fraction-free
-elimination.  Results are therefore exact integers, reproducible from the
-window parameters, and never claims about the smooth cohomology.
+of bounded total degree, the differential is assembled as a sparse exact
+rational matrix between such windows, and ranks come from sparse
+fraction-free elimination over Z.  Results are therefore exact integers,
+reproducible from the window parameters, and never claims about the smooth
+cohomology.
 """
 
 from itertools import combinations
@@ -74,9 +75,16 @@ class GradedBasis:
 
     def coordinates_of(self, Q):
         """Column of Q in this basis; raises WindowTooSmall on overflow."""
+        col = [0] * len(self.elements)
+        for k, coef in self.sparse_coordinates_of(Q).items():
+            col[k] = coef
+        return col
+
+    def sparse_coordinates_of(self, Q):
+        """The nonzero coordinates of Q in this basis, as {index: coefficient}."""
         if Q.degree != self.degree:
             raise PoisgeoError("degree mismatch")
-        col = [0] * len(self.elements)
+        col = {}
         for idx, field in Q.comps.items():
             if not field.is_polynomial:
                 raise NonPolynomialBivector(
@@ -121,7 +129,10 @@ def assemble_dpi_matrix(pi, p, d_in, d_out):
         )
     source = GradedBasis(chart, p, d_in)
     target = GradedBasis(chart, p + 1, d_out)
-    cols = [target.coordinates_of(pi.d_pi(source.element_pvector(k))) for k in range(len(source))]
+    cols = [
+        target.sparse_coordinates_of(pi.d_pi(source.element_pvector(k)))
+        for k in range(len(source))
+    ]
     return RationalMatrix.from_columns(cols, len(target)), source, target
 
 
@@ -162,31 +173,15 @@ def truncated_betti(pi, p, d, with_representatives=False):
         "betti": kernel_dim - image_rank,
     }
     if with_representatives:
-        report["representatives"] = _representatives(
-            basis, kernel_cols, image_matrix, image_rank
-        )
+        report["representatives"] = _representatives(basis, kernel_cols, image_matrix)
     return report
 
 
-def _representatives(basis, kernel_cols, image_matrix, image_rank):
+def _representatives(basis, kernel_cols, image_matrix):
     """Kernel vectors extending the image to a basis of the cocycles."""
-    image_cols = []
-    if image_matrix is not None:
-        image_cols = [
-            [image_matrix.entry(i, j) for i in range(image_matrix.rows)]
-            for j in range(image_matrix.cols)
-        ]
-    chosen = []
-    current = list(image_cols)
-    rank = image_rank
-    for vec in kernel_cols:
-        trial = current + [vec]
-        r = RationalMatrix.from_columns(trial, len(basis)).rank()
-        if r > rank:
-            chosen.append(basis.from_coordinates(vec))
-            current = trial
-            rank = r
-    return chosen
+    if image_matrix is None:
+        image_matrix = RationalMatrix.zero(len(basis), 0)
+    return [basis.from_coordinates(v) for v in image_matrix.extend_column_space(kernel_cols)]
 
 
 def dpi_squared_matrix(pi, p, d):

@@ -195,3 +195,7 @@ class NonPolynomialBivector(PoisgeoError):
 
 class SpecFileError(PoisgeoError):
     """Malformed manifold/foliation spec file."""
+
+
+class InvalidArgument(PoisgeoError, ValueError):
+    """A command-line argument outside the range the spec allows."""

@@ -26,4 +26,3 @@ poly_diff = _impl.poly_diff
 poly_eval = _impl.poly_eval
 grlex_key = _impl.grlex_key
 poly_lead = _impl.poly_lead
-int_row_echelon = _impl.int_row_echelon

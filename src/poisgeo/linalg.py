@@ -3,15 +3,16 @@
 FieldMatrix entries are ScalarFields; elimination clears each row to
 integer-polynomial form and runs fraction-free (Bareiss-style) reduction,
 so intermediate entries stay polynomial instead of swelling into nested
-fractions.  RationalMatrix is the dense exact-rational workhorse for the
-cohomology rank computations.
+fractions.  RationalMatrix is the sparse exact-rational matrix behind the
+cohomology windows: its ranks and kernels come from a sparse fraction-free
+row echelon over Z.
 """
 
 import math
 from fractions import Fraction
 
 from .errors import ChartMismatch, PoisgeoError, SingularMatrix
-from .kernel import int_row_echelon, poly_mul, poly_sub
+from .kernel import poly_mul, poly_sub
 from .polyops import poly_div_exact, poly_gcd, poly_lcm, poly_lead
 from .scalar import ScalarField
 
@@ -254,79 +255,217 @@ def _normalize_vector(chart, vec):
     return out
 
 
-class RationalMatrix:
-    """Dense exact-rational matrix; ranks and kernels via integer Bareiss."""
+def _rational(v):
+    """An exact entry: ints and Fractions as they are, anything else via Fraction."""
+    return v if type(v) is int or type(v) is Fraction else Fraction(v)
 
-    __slots__ = ("rows", "cols", "entries")
+
+def _int_row(row):
+    """A sparse rational row {col: value} scaled to integers by its denominators' lcm."""
+    lcm = 1
+    for v in row.values():
+        d = v.denominator
+        if d != 1:
+            lcm = lcm * d // math.gcd(lcm, d)
+    return {c: v.numerator * (lcm // v.denominator) for c, v in row.items()}
+
+
+def _eliminate(row, piv, col):
+    """a*row - b*piv, with a and b the two entries at ``col`` over their gcd.
+
+    Both rows are integral and hold ``col``; the result no longer does.
+    ``row`` is consumed.
+    """
+    a = piv[col]
+    b = row[col]
+    g = math.gcd(a, b)
+    a //= g
+    b //= g
+    if a != 1:
+        row = {c: a * v for c, v in row.items()}
+    for c, v in piv.items():
+        nv = row.get(c, 0) - b * v
+        if nv:
+            row[c] = nv
+        else:
+            del row[c]
+    return row
+
+
+def _primitive(row, lead):
+    """Divide out the content of an integer row; its leading entry becomes positive."""
+    g = math.gcd(*row.values())
+    if row[lead] < 0:
+        g = -g
+    return row if g == 1 else {c: v // g for c, v in row.items()}
+
+
+def _insert(pivots, row):
+    """Reduce an integer row against a sparse echelon and keep it if it survives.
+
+    ``pivots`` maps each leading column to a primitive integer row.  The row
+    is consumed; returns True when it was independent of the pivot rows.
+    """
+    while row:
+        lead = min(row)
+        piv = pivots.get(lead)
+        if piv is None:
+            pivots[lead] = _primitive(row, lead)
+            return True
+        row = _eliminate(row, piv, lead)
+    return False
+
+
+def _back_reduce(pivots):
+    """Reduced row echelon form: every pivot column cleared outside its own row.
+
+    Rows are reduced from the last pivot up, so each row only meets pivot
+    rows that are already reduced, and clearing one pivot column brings in
+    no other.  ``pivots`` is consumed.
+    """
+    done = {}
+    for lead in sorted(pivots, reverse=True):
+        row = pivots[lead]
+        for c in [c for c in row if c in done and c != lead]:
+            row = _eliminate(row, done[c], c)
+        done[lead] = _primitive(row, lead)
+    return done
+
+
+class RationalMatrix:
+    """Sparse exact-rational matrix: one dict of nonzero entries per row.
+
+    Ranks and kernels come from a sparse fraction-free row echelon: rows are
+    cleared to integers and inserted one at a time, each pivot row kept
+    primitive.  Either dimension may be zero.
+    """
+
+    __slots__ = ("rows", "cols", "_data")
 
     def __init__(self, entries):
-        entries = tuple(tuple(Fraction(e) for e in row) for row in entries)
-        if not entries:
-            raise PoisgeoError("matrix needs at least one row")
-        cols = len(entries[0])
+        """From dense rows; with no rows the matrix is 0 x 0 (see ``zero``)."""
+        data = []
+        cols = None
         for row in entries:
-            if len(row) != cols:
+            row = list(row)
+            if cols is None:
+                cols = len(row)
+            elif len(row) != cols:
                 raise PoisgeoError("ragged matrix")
-        self.rows = len(entries)
-        self.cols = cols
-        self.entries = entries
+            data.append({j: _rational(e) for j, e in enumerate(row) if e})
+        self.rows = len(data)
+        self.cols = cols or 0
+        self._data = data
+
+    @classmethod
+    def _sparse(cls, data, cols):
+        mat = cls.__new__(cls)
+        mat.rows = len(data)
+        mat.cols = cols
+        mat._data = data
+        return mat
 
     @classmethod
     def zero(cls, rows, cols):
-        return cls([[0] * cols for _ in range(rows)])
+        return cls._sparse([{} for _ in range(rows)], cols)
 
     @classmethod
     def from_columns(cls, columns, nrows):
-        if not columns:
-            return cls.zero(nrows, 1)
-        return cls([[col[i] for col in columns] for i in range(nrows)])
+        """The matrix with the given columns, each a length-``nrows`` sequence
+        or a sparse {row: value} dict."""
+        data = [{} for _ in range(nrows)]
+        for j, col in enumerate(columns):
+            if isinstance(col, dict):
+                items = col.items()
+            elif len(col) != nrows:
+                raise PoisgeoError("ragged matrix")
+            else:
+                items = enumerate(col)
+            for i, e in items:
+                if e:
+                    data[i][j] = _rational(e)
+        return cls._sparse(data, len(columns))
+
+    @property
+    def entries(self):
+        """Dense rows of Fractions."""
+        zero = Fraction(0)
+        out = []
+        for row in self._data:
+            dense = [zero] * self.cols
+            for j, v in row.items():
+                dense[j] = Fraction(v)
+            out.append(tuple(dense))
+        return tuple(out)
 
     def entry(self, i, j):
-        return self.entries[i][j]
+        return Fraction(self._data[i].get(j, 0))
 
     def is_zero(self):
-        return all(e == 0 for row in self.entries for e in row)
+        return not any(self._data)
 
     def __matmul__(self, other):
         if self.cols != other.rows:
             raise PoisgeoError("shape mismatch in matrix product")
-        return RationalMatrix(
-            [
-                [
-                    sum(self.entries[i][k] * other.entries[k][j] for k in range(self.cols))
-                    for j in range(other.cols)
-                ]
-                for i in range(self.rows)
-            ]
-        )
-
-    def _int_rows(self):
         out = []
-        for row in self.entries:
-            lcm = 1
-            for e in row:
-                lcm = lcm * e.denominator // math.gcd(lcm, e.denominator)
-            out.append([int(e * lcm) for e in row])
-        return out
+        for row in self._data:
+            acc = {}
+            for k, a in row.items():
+                for j, b in other._data[k].items():
+                    acc[j] = acc.get(j, 0) + a * b
+            out.append({j: v for j, v in acc.items() if v})
+        return RationalMatrix._sparse(out, other.cols)
+
+    def _echelon(self):
+        pivots = {}
+        for row in self._data:
+            if row:
+                _insert(pivots, _int_row(row))
+        return pivots
 
     def rank(self):
-        rank, _, _ = int_row_echelon(self._int_rows())
-        return rank
+        return len(self._echelon())
 
     def kernel_basis(self):
-        """Fraction vectors spanning the nullspace."""
-        rank, pivot_cols, ech = int_row_echelon(self._int_rows())
-        free_cols = [c for c in range(self.cols) if c not in pivot_cols]
-        basis = []
-        for f in free_cols:
-            vec = [Fraction(0)] * self.cols
-            vec[f] = Fraction(1)
-            for r in range(rank - 1, -1, -1):
-                pc = pivot_cols[r]
-                acc = Fraction(0)
-                for j in range(pc + 1, self.cols):
-                    if ech[r][j] and vec[j]:
-                        acc += Fraction(ech[r][j]) * vec[j]
-                vec[pc] = -acc / ech[r][pc]
-            basis.append(vec)
-        return basis
+        """Fraction vectors spanning the nullspace, one per free column.
+
+        The vector for free column f is 1 at f, 0 at the other free columns,
+        and read off the reduced row echelon form at the pivot columns.
+        """
+        rref = _back_reduce(self._echelon())
+        zero = Fraction(0)
+        one = Fraction(1)
+        basis = {}
+        for f in range(self.cols):
+            if f not in rref:
+                vec = basis[f] = [zero] * self.cols
+                vec[f] = one
+        for lead, row in rref.items():
+            head = row[lead]
+            for c, v in row.items():
+                if c != lead:
+                    basis[c][lead] = Fraction(-v, head)
+        return list(basis.values())
+
+    def extend_column_space(self, vectors):
+        """The vectors that, taken in order, each enlarge the column space.
+
+        The columns go into one echelon, and each vector (a sequence of
+        length ``rows``) is tried against it in turn; a vector that is
+        independent is kept, in the echelon and in the result.
+        """
+        pivots = {}
+        columns = [{} for _ in range(self.cols)]
+        for i, row in enumerate(self._data):
+            for j, v in row.items():
+                columns[j][i] = v
+        for col in columns:
+            if col:
+                _insert(pivots, _int_row(col))
+        kept = []
+        for vec in vectors:
+            if len(vec) != self.rows:
+                raise PoisgeoError("vector length does not match the row count")
+            if _insert(pivots, _int_row({i: _rational(e) for i, e in enumerate(vec) if e})):
+                kept.append(vec)
+        return kept

@@ -257,6 +257,36 @@ class TestCohomology:
         assert code == 2
         assert "polynomial" in err
 
+    def test_p_above_chart_dimension_exit2(self, capsys):
+        code, out, err = run_cli(
+            capsys, "cohomology", str(corpus_path("r3_flat")), "--p", "5", "--degree", "1"
+        )
+        assert code == 2
+        assert out == ""
+        assert err.startswith("input error:") and "--p 5" in err
+
+    def test_negative_degree_exit2(self, capsys):
+        code, out, err = run_cli(
+            capsys, "cohomology", str(corpus_path("r3_flat")), "--p", "1", "--degree", "-3"
+        )
+        assert code == 2
+        assert out == ""
+        assert err.startswith("input error:") and "--degree -3" in err
+
+    def test_thm31_above_leaf_rank(self, capsys):
+        """p = 3 exceeds the leaf rank 2: no leafwise 3-forms, so no cocycles."""
+        code, out, _ = run_cli(
+            capsys,
+            "cohomology",
+            str(corpus_path("r3_flat")),
+            "--p", "3", "--degree", "1",
+            "--thm31", "--json",
+        )
+        assert code == 0
+        rep = json.loads(out)
+        assert rep["thm31"]["leaf_cocycle_count"] == 0
+        assert rep["thm31"]["pushforwards_closed"] is True
+
 
 class TestSamplesOverride:
     def test_override_changes_verdict(self, capsys, tmp_path):

@@ -131,3 +131,26 @@ def test_rational_matrix_random_kernel():
         for vec in kb:
             for i in range(rows):
                 assert sum(M.entry(i, j) * vec[j] for j in range(cols)) == 0
+
+
+def test_rational_matrix_map_out_of_zero_space():
+    """n x 0: a map out of the zero space has rank 0 and no kernel vectors."""
+    M = RationalMatrix.from_columns([], 3)
+    assert (M.rows, M.cols) == (3, 0)
+    assert M.rank() == 0
+    assert M.kernel_basis() == []
+    assert M.is_zero()
+    assert M.entries == ((), (), ())
+
+
+def test_rational_matrix_map_into_zero_space():
+    """0 x n: everything is in the kernel, spanned by the standard basis."""
+    for M in (RationalMatrix.from_columns([[], []], 0), RationalMatrix.zero(0, 2)):
+        assert (M.rows, M.cols) == (0, 2)
+        assert M.rank() == 0
+        assert M.kernel_basis() == [[1, 0], [0, 1]]
+    empty = RationalMatrix([])
+    assert (empty.rows, empty.cols) == (0, 0)
+    assert empty.kernel_basis() == []
+    product = RationalMatrix.from_columns([[1, 2]], 2) @ RationalMatrix.zero(1, 0)
+    assert (product.rows, product.cols) == (2, 0)
