@@ -9,6 +9,7 @@ cohomology.
 """
 
 from itertools import combinations
+from operator import add
 
 from .errors import (
     InternalInconsistency,
@@ -17,7 +18,13 @@ from .errors import (
     PoisgeoError,
     WindowTooSmall,
 )
-from .foliation import LeafwiseForm, basic_form_family, casimir_monomials, leafwise_d
+from .foliation import (
+    LeafwiseForm,
+    _ts_structure_coefficients,
+    basic_form_family,
+    casimir_monomials,
+    leafwise_d,
+)
 from .linalg import RationalMatrix
 from .scalar import ScalarField
 from .tensor import OneForm, PForm, PVector, exterior_d, interior_form, interior_vector
@@ -84,20 +91,25 @@ class GradedBasis:
         """The nonzero coordinates of Q in this basis, as {index: coefficient}."""
         if Q.degree != self.degree:
             raise PoisgeoError("degree mismatch")
-        col = {}
-        for idx, field in Q.comps.items():
+        for field in Q.comps.values():
             if not field.is_polynomial:
                 raise NonPolynomialBivector(
                     "windowed cohomology needs polynomial coefficients"
                 )
-            for mono, coef in field.poly_terms().items():
-                key = (mono, idx)
-                if key not in self._index:
+        return self.sparse_column(_terms(Q))
+
+    def sparse_column(self, terms):
+        """{(monomial, multi-index): coefficient} as {index: coefficient}, zeros dropped."""
+        col = {}
+        for key, coef in terms.items():
+            if coef:
+                k = self._index.get(key)
+                if k is None:
                     raise WindowTooSmall(
-                        f"coefficient degree {sum(mono)} exceeds the window bound "
+                        f"coefficient degree {sum(key[0])} exceeds the window bound "
                         f"{self.coeff_bound}"
                     )
-                col[self._index[key]] = coef
+                col[k] = coef
         return col
 
     def from_coordinates(self, col):
@@ -119,9 +131,37 @@ def degree_shift(pi):
     return pi.max_entry_degree() - 1
 
 
+def _terms(Q):
+    """{(monomial, multi-index): coefficient} of a polynomial multivector."""
+    return {
+        (mono, idx): coef
+        for idx, field in Q.comps.items()
+        for mono, coef in field.poly_terms().items()
+    }
+
+
+def _add_shifted(acc, mono, factor, terms):
+    """acc += factor * x^mono * terms."""
+    for (tmono, idx), coef in terms.items():
+        key = (tuple(map(add, mono, tmono)), idx)
+        acc[key] = acc.get(key, 0) + factor * coef
+
+
 def assemble_dpi_matrix(pi, p, d_in, d_out):
-    """Matrix of d_pi from the (p, d_in) window into the (p+1, d_out) window."""
+    """Matrix of d_pi from the (p, d_in) window into the (p+1, d_out) window.
+
+    Columns come from the Leibniz rule
+
+        d_pi(x^m dd_I) = x^m d_pi(dd_I) + sum_a m_a x^(m - e_a) d_pi(x_a) ^ dd_I,
+
+    which holds for every bivector, Poisson or not: in d_pi's formula the
+    anchor term is a derivation in the coefficient and the bracket term is
+    linear over functions.  So d_pi runs only on the C(n, p) constant frame
+    multivectors dd_I and on the n coordinates, and each column is a sum of
+    their terms shifted by monomials.
+    """
     chart = pi.chart
+    n = chart.dim
     shift = degree_shift(pi)
     if d_out < d_in + shift:
         raise WindowTooSmall(
@@ -129,10 +169,20 @@ def assemble_dpi_matrix(pi, p, d_in, d_out):
         )
     source = GradedBasis(chart, p, d_in)
     target = GradedBasis(chart, p + 1, d_out)
-    cols = [
-        target.sparse_coordinates_of(pi.d_pi(source.element_pvector(k)))
-        for k in range(len(source))
-    ]
+    one = ScalarField.one(chart)
+    frames = {idx: PVector(chart, p, {idx: one}) for idx in combinations(range(n), p)}
+    d_coords = [pi.d_pi(ScalarField.coordinate(chart, a)) for a in range(n)]
+    d_frames = {idx: _terms(pi.d_pi(F)) for idx, F in frames.items()}
+    leibniz = {idx: [_terms(V.wedge(F)) for V in d_coords] for idx, F in frames.items()}
+    cols = []
+    for mono, idx in source.elements:
+        acc = {}
+        _add_shifted(acc, mono, 1, d_frames[idx])
+        for a, m_a in enumerate(mono):
+            if m_a:
+                lower = mono[:a] + (m_a - 1,) + mono[a + 1:]
+                _add_shifted(acc, lower, m_a, leibniz[idx][a])
+        cols.append(target.sparse_column(acc))
     return RationalMatrix.from_columns(cols, len(target)), source, target
 
 
@@ -421,34 +471,33 @@ class LeafBasis:
         return LeafwiseForm(self.split, self.degree, comps)
 
 
+def _leafwise_matrix(split, structure, p, d_in, d_out):
+    """Matrix of d_F from the (p, d_in) leafwise window into (p+1, d_out), and its source."""
+    source = LeafBasis(split, p, d_in)
+    target = LeafBasis(split, p + 1, d_out)
+    cols = [
+        target.coordinates_of(leafwise_d(split, source.element(k), structure))
+        for k in range(len(source))
+    ]
+    return RationalMatrix.from_columns(cols, len(target)), source
+
+
 def leafwise_truncated_betti(split, p, d, structure=None):
     """Windowed leafwise cohomology dimension, mirroring truncated_betti."""
-    from .foliation import _ts_structure_coefficients
-
     if structure is None:
         structure = _ts_structure_coefficients(split)
     shift = leafwise_degree_shift(split, structure)
-    r = split.rank
 
-    def matrix(p_in, d_in, d_out):
-        source = LeafBasis(split, p_in, d_in)
-        target = LeafBasis(split, p_in + 1, d_out)
-        cols = [
-            target.coordinates_of(leafwise_d(split, source.element(k), structure))
-            for k in range(len(source))
-        ]
-        return RationalMatrix.from_columns(cols, len(target)), source
-
-    if p == r:
+    if p == split.rank:
         kernel_dim = len(LeafBasis(split, p, d))
     else:
-        mat, _ = matrix(p, d, max(d + shift, 0))
+        mat, _ = _leafwise_matrix(split, structure, p, d, max(d + shift, 0))
         kernel_dim = len(mat.kernel_basis())
     d_pre = d - shift
     if p == 0 or d_pre < 0:
         image_rank = 0
     else:
-        mat0, _ = matrix(p - 1, d_pre, d)
+        mat0, _ = _leafwise_matrix(split, structure, p - 1, d_pre, d)
         image_rank = mat0.rank()
     return {
         "p": p,
@@ -478,22 +527,16 @@ def thm31_cochain_report(pi, g, split, p, d):
     report["basic_count"] = len(closed)
     report["basic_forms_closed"] = all(closed)
 
-    from .foliation import _ts_structure_coefficients
-
     structure = _ts_structure_coefficients(split)
     shift = leafwise_degree_shift(split, structure)
-    source = LeafBasis(split, p, d)
     if p == split.rank:
+        source = LeafBasis(split, p, d)
         kernel_cols = [
             [1 if i == k else 0 for i in range(len(source))] for k in range(len(source))
         ]
     else:
-        target = LeafBasis(split, p + 1, max(d + shift, 0))
-        cols = [
-            target.coordinates_of(leafwise_d(split, source.element(k), structure))
-            for k in range(len(source))
-        ]
-        kernel_cols = RationalMatrix.from_columns(cols, len(target)).kernel_basis()
+        mat, source = _leafwise_matrix(split, structure, p, d, max(d + shift, 0))
+        kernel_cols = mat.kernel_basis()
     pushed_closed = []
     for vec in kernel_cols:
         omega = source.from_coordinates(vec)

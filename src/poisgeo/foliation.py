@@ -172,26 +172,6 @@ class FoliationSplit:
         sol = self.frame_matrix().solve(FieldMatrix(self.chart, [[c] for c in X.comps]))
         return [sol.entry(i, 0) for i in range(self.chart.dim)]
 
-    def tangent_to_leaves(self, X):
-        """True iff X lies in TS symbolically (killed by the kernel frame)."""
-        return all(kappa.pair(X).is_zero for kappa in self.kernel_frame)
-
-    def pi_inverse(self, u):
-        """The unique perp-frame combination xi with pi_sharp(xi) = u, u in TS."""
-        coeffs = self.decompose_vector(u)
-        for c in coeffs[self.rank:]:
-            if not c.is_zero:
-                raise NotTangent(f"{u!r} is not tangent to the leaves")
-        out = OneForm.zero(self.chart)
-        for c, rho in zip(coeffs[: self.rank], self.perp_frame):
-            if not c.is_zero:
-                out = out + c * rho
-        return out
-
-    def metric_sharp(self, alpha):
-        """The cometric identification used for H: beta(#alpha) = <alpha, beta>."""
-        return self.g.sharp(alpha)
-
 
 def split_cotangent(pi, g, declared_rank, samples):
     """Compute the cotangent splitting frames and verify regularity.
@@ -528,11 +508,6 @@ def foliate_report(pi, g, split, alpha, D=None):
         "foliate": foliate,
         "invariant": invariant,
     }
-
-
-def casimir_pairing_is_casimir(pi, g, alpha, beta):
-    """Whether <alpha, beta> is a Casimir function."""
-    return pi.is_casimir(g.pairing(alpha, beta))
 
 
 def invariance_report(pi, g, split, riemann_poisson):

@@ -24,6 +24,10 @@ _TOK_END = "end"
 
 _OPS = set("+-*/^()")
 
+# Deepest nesting of parentheses, unary minus and exponents; each level costs
+# a few Python frames, so this keeps parsing far from the recursion limit.
+MAX_DEPTH = 100
+
 
 def _tokenize(text):
     toks = []
@@ -63,6 +67,7 @@ class _Parser:
         self.chart = chart
         self.toks = _tokenize(text)
         self.pos = 0
+        self.depth = 0
 
     def peek(self):
         return self.toks[self.pos]
@@ -112,11 +117,18 @@ class _Parser:
                 return value
 
     def unary(self):
-        kind, val, _ = self.peek()
+        kind, val, off = self.peek()
+        self.depth += 1
+        if self.depth > MAX_DEPTH:
+            raise ExprSyntaxError(f"expression nested more than {MAX_DEPTH} levels deep",
+                                  off, expected="shallower nesting")
         if kind == _TOK_OP and val == "-":
             self.advance()
-            return -self.unary()
-        return self.power()
+            value = -self.unary()
+        else:
+            value = self.power()
+        self.depth -= 1
+        return value
 
     def power(self):
         base = self.atom()

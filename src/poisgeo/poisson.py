@@ -252,7 +252,7 @@ class Bivector:
             Q = PVector(self.chart, 0, {(): Q})
         if isinstance(Q, VectorField):
             Q = Q.as_pvector()
-        _check_chart(self, Q)
+        _check(self, Q)
         chart = self.chart
         n = chart.dim
         p = Q.degree
@@ -288,17 +288,3 @@ def _check(pi, obj):
     if obj.chart != pi.chart:
         raise ChartMismatch("operand chart differs from the bivector chart")
 
-
-_check_chart = _check
-
-
-def pi_sharp(pi, alpha):
-    return pi.sharp(alpha)
-
-
-def fn_bracket(pi, f, g):
-    return pi.bracket(f, g)
-
-
-def koszul_bracket(pi, alpha, beta):
-    return pi.koszul(alpha, beta)

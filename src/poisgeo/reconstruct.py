@@ -181,25 +181,16 @@ def _coefficient_rows(fields):
     Brings the fields to a common denominator and emits one row per
     monomial of the numerators.
     """
+    from .kernel import poly_mul
     from .polyops import poly_div_exact, poly_lcm
 
     lcm = None
     for f in fields:
         d = f.den_dict()
         lcm = d if lcm is None else poly_lcm(lcm, d)
-    numerators = []
-    for f in fields:
-        numerators.append(
-            _poly_mul_dict(f.num_dict(), poly_div_exact(lcm, f.den_dict()))
-        )
+    numerators = [poly_mul(f.num_dict(), poly_div_exact(lcm, f.den_dict())) for f in fields]
     monos = sorted({m for p in numerators for m in p})
     return [[Fraction(p.get(m, 0)) for p in numerators] for m in monos]
-
-
-def _poly_mul_dict(a, b):
-    from .kernel import poly_mul
-
-    return poly_mul(a, b)
 
 
 def validate_input(inp, ansatz_degree=2):

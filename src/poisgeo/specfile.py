@@ -13,7 +13,7 @@ from fractions import Fraction
 
 from .chart import Chart
 from .connection import CoMetric
-from .errors import SpecFileError
+from .errors import PoleAtPoint, SpecFileError
 from .foliation import TangentMetric
 from .parser import parse_scalar
 from .poisson import Bivector
@@ -39,6 +39,14 @@ class ManifoldSpec:
         for p in self.samples:
             if len(p) != chart.dim:
                 raise SpecFileError(f"sample {p} has wrong dimension")
+        n = chart.dim
+        _check_no_poles(
+            name,
+            [(f"pi entry ({i}, {j})", pi.entry(i, j)) for i in range(n) for j in range(i + 1, n)]
+            + [(f"cometric entry ({i}, {j})", cometric.entry(i, j))
+               for i in range(n) for j in range(i, n)],
+            self.samples,
+        )
 
     def to_dict(self):
         n = self.chart.dim
@@ -76,11 +84,34 @@ class FoliationSpec:
         self.samples = tuple(tuple(Fraction(c) for c in p) for p in samples)
         if not self.samples:
             raise SpecFileError("foliation spec needs at least one sample")
+        n = chart.dim
+        _check_no_poles(
+            name,
+            [(f"frame entry ({a}, {i})", X.comps[i]) for a, X in enumerate(self.frame)
+             for i in range(n)]
+            + [(f"tangent_metric entry ({i}, {j})", tangent_metric.entry(i, j))
+               for i in range(n) for j in range(i, n)]
+            + [(f"omega entry {idx}", f) for idx, f in omega.comps.items()],
+            self.samples,
+        )
 
     def foliation_input(self):
         return FoliationInput(
             self.chart, self.frame, self.tangent_metric, self.omega, self.samples
         )
+
+
+def _check_no_poles(name, entries, samples):
+    """SpecFileError if a (label, ScalarField) entry has a pole at a sample."""
+    for label, field in entries:
+        if field.is_polynomial:
+            continue
+        for p in samples:
+            try:
+                field.eval_at(p)
+            except PoleAtPoint:
+                point = ", ".join(_fraction_str(c) for c in p)
+                raise SpecFileError(f"{name}: {label} has a pole at sample ({point})") from None
 
 
 def _fraction_str(q):
@@ -154,6 +185,8 @@ def load_manifold_spec(data, where="manifold spec"):
         _require(data, "cometric", list, where), chart, where, True
     )
     declared_rank = _require(data, "declared_rank", int, where)
+    if isinstance(declared_rank, bool) or not 0 <= declared_rank <= chart.dim:
+        raise SpecFileError(f"{where}: declared_rank must be an integer in 0..{chart.dim}")
     samples = _load_samples(data, chart, where)
     pi = Bivector.from_upper(chart, pi_entries)
     cometric = CoMetric.from_upper(chart, g_entries)

@@ -368,10 +368,6 @@ def scalar_as_pform(f):
     return PForm(f.chart, 0, {(): f})
 
 
-def scalar_as_pvector(f):
-    return PVector(f.chart, 0, {(): f})
-
-
 def wedge(a, b):
     """Graded-antisymmetric product of two forms or two multivectors."""
     return a.wedge(b)

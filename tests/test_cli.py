@@ -302,3 +302,71 @@ class TestSamplesOverride:
         assert "rank_constant: pass" in out
         assert code == 1  # still not parallel: Dpi != 0
         assert "riemann_poisson: fail" in out
+
+
+class TestInputErrors:
+    """Bad spec contents exit 2 with a one-line message and no report."""
+
+    def _write(self, tmp_path, name="r3_flat", **changes):
+        data = json.loads(corpus_path(name).read_text())
+        data.update(changes)
+        path = tmp_path / "spec.json"
+        path.write_text(json.dumps(data))
+        return str(path)
+
+    def _assert_input_error(self, capsys, argv, *needles):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("input error:") and err.count("\n") == 1, err
+        for needle in needles:
+            assert needle in err
+
+    def test_declared_rank_above_dimension_exit2(self, capsys, tmp_path):
+        spec = self._write(tmp_path, declared_rank=4)
+        self._assert_input_error(capsys, ["check", spec, "--json"], "declared_rank", "0..3")
+
+    def test_negative_declared_rank_exit2(self, capsys, tmp_path):
+        spec = self._write(tmp_path, declared_rank=-2)
+        self._assert_input_error(capsys, ["check", spec, "--json"], "declared_rank")
+
+    def test_boolean_declared_rank_exit2(self, capsys, tmp_path):
+        spec = self._write(tmp_path, declared_rank=True)
+        self._assert_input_error(capsys, ["check", spec, "--json"], "declared_rank")
+
+    def test_pole_at_sample_exit2(self, capsys, tmp_path):
+        spec = self._write(
+            tmp_path,
+            cometric=[[0, 0, "1"], [1, 1, "1"], [2, 2, "1/z"]],
+            samples=[[1, 1, 0], [1, 2, 3]],
+        )
+        self._assert_input_error(
+            capsys, ["check", spec, "--json"], "cometric entry (2, 2)", "(1, 1, 0)"
+        )
+
+    def test_pole_at_override_sample_exit2(self, capsys, tmp_path):
+        spec = self._write(tmp_path, cometric=[[0, 0, "1"], [1, 1, "1"], [2, 2, "1/(z-2)"]])
+        samples = tmp_path / "samples.json"
+        samples.write_text(json.dumps([[1, 1, 2]]))
+        self._assert_input_error(
+            capsys, ["report", spec, "--samples", str(samples), "--json"], "pole"
+        )
+
+    def test_pole_in_foliation_spec_exit2(self, capsys, tmp_path):
+        spec = self._write(
+            tmp_path, "foliation_flat_zmetric", frame=[["1/z", "0", "0"], ["0", "1", "0"]]
+        )
+        self._assert_input_error(capsys, ["construct", spec], "frame entry (0, 0)")
+
+    def test_deep_nesting_exit2(self, capsys, tmp_path):
+        spec = self._write(tmp_path, pi=[[0, 1, "(" * 5000 + "x" + ")" * 5000]])
+        self._assert_input_error(capsys, ["check", spec, "--json"], "nested")
+
+    def test_nesting_below_the_bound_parses(self):
+        from poisgeo import Chart, parse_scalar
+        from poisgeo.parser import MAX_DEPTH
+
+        chart = Chart(["x"])
+        depth = MAX_DEPTH - 1
+        assert parse_scalar("(" * depth + "x" + ")" * depth, chart) == parse_scalar("x", chart)
+        assert parse_scalar("-" * depth + "x", chart) == parse_scalar("-x", chart)
