@@ -25,24 +25,16 @@ from .foliation import (
     casimir_monomials,
     leafwise_d,
 )
+from .kernel import grlex_key
 from .linalg import RationalMatrix
+from .polyops import monomials_upto
 from .scalar import ScalarField
-from .tensor import OneForm, PForm, PVector, exterior_d, interior_form, interior_vector
+from .tensor import OneForm, PForm, PVector, interior_d, interior_form, interior_vector
 
 
 def _monomials_upto(n, d):
-    out = []
-
-    def rec(prefix, remaining, total):
-        if remaining == 0:
-            out.append(tuple(prefix))
-            return
-        for e in range(d - total + 1):
-            rec(prefix + [e], remaining - 1, total + e)
-
-    rec([], n, 0)
-    out.sort(key=lambda m: (sum(m), m))
-    return out
+    """Exponent tuples of total degree <= d in graded-lex order."""
+    return sorted(monomials_upto(n, d), key=grlex_key)
 
 
 class GradedBasis:
@@ -351,11 +343,10 @@ def is_basic_pform(split, omega):
             if not t.apply_to(f).is_zero:
                 return False, f"X.f != 0 for X = {t!r}"
         return True, None
-    d_omega = exterior_d(omega) if omega.degree < split.chart.dim else None
     for t in split.ts_frame:
         if not interior_vector(t, omega).is_zero:
             return False, f"i_X omega != 0 for X = {t!r}"
-        if d_omega is not None and not interior_vector(t, d_omega).is_zero:
+        if not interior_d(t, omega).is_zero:
             return False, f"i_X d omega != 0 for X = {t!r}"
     return True, None
 
@@ -541,10 +532,7 @@ def thm31_cochain_report(pi, g, split, p, d):
     for vec in kernel_cols:
         omega = source.from_coordinates(vec)
         image = pi_pushforward(split, omega)
-        if image.degree >= split.chart.dim:
-            pushed_closed.append(True)  # the target multivector space is zero
-        else:
-            pushed_closed.append(pi.d_pi(image).is_zero)
+        pushed_closed.append(pi.d_pi(image).is_zero)
     report["leaf_cocycle_count"] = len(pushed_closed)
     report["pushforwards_closed"] = all(pushed_closed)
 

@@ -25,14 +25,14 @@ from .errors import (
 )
 from .connection import _fraction_det, levi_civita
 from .linalg import FieldMatrix
+from .polyops import monomials_upto
 from .scalar import ScalarField
 from .tensor import (
     OneForm,
     PForm,
     VectorField,
     _sort_sign,
-    exterior_d,
-    interior_vector,
+    interior_d,
     lie_bracket,
     lie_derivative_bivector,
 )
@@ -446,9 +446,8 @@ def basic_one_form_routes(pi, alpha):
     n = chart.dim
     route_a = pi.sharp(alpha).is_zero
     if route_a:
-        d_alpha = exterior_d(alpha.as_pform())
         for i in range(n):
-            if not interior_vector(pi.sharp_basis(i), d_alpha).is_zero:
+            if not interior_d(pi.sharp_basis(i), alpha.as_pform()).is_zero:
                 route_a = False
                 break
     route_b = True
@@ -565,22 +564,9 @@ def invariance_report(pi, g, split, riemann_poisson):
 def casimir_monomials(pi, max_degree):
     """Monomials of total degree <= max_degree that are Casimir functions."""
     chart = pi.chart
-    n = chart.dim
-    out = []
-
-    def rec(prefix, remaining, total):
-        if remaining == 0:
-            mono = {tuple(prefix): 1}
-            f = ScalarField(chart, mono, {(0,) * n: 1})
-            if pi.is_casimir(f):
-                out.append(f)
-            return
-        for e in range(max_degree - total + 1):
-            rec(prefix + [e], remaining - 1, total + e)
-
-    rec([], n, 0)
-    out.sort(key=lambda f: sorted(f.num_dict()))
-    return out
+    one = {(0,) * chart.dim: 1}
+    monos = (ScalarField(chart, {m: 1}, one) for m in monomials_upto(chart.dim, max_degree))
+    return [f for f in monos if pi.is_casimir(f)]
 
 
 def basic_form_family(pi, g, max_degree=2):

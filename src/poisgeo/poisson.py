@@ -16,7 +16,7 @@ from .tensor import (
     PVector,
     VectorField,
     exterior_d,
-    interior_vector,
+    interior_d,
     lie_bracket,
     lie_derivative,
 )
@@ -195,8 +195,8 @@ class Bivector:
             - d_pair
         )
         line2 = (
-            interior_vector(pa, exterior_d(beta.as_pform()))
-            - interior_vector(pb, exterior_d(alpha.as_pform()))
+            interior_d(pa, beta.as_pform())
+            - interior_d(pb, alpha.as_pform())
             + d_pair
         )
         if line1 != line2:
@@ -246,7 +246,8 @@ class Bivector:
           + sum_{i<j} (-1)^{i+j} Q([a_i, a_j]_pi, ..no a_i, a_j..)
 
         Accepts a ScalarField as a 0-vector.  Defined for any bivector;
-        d_pi of d_pi vanishes only when the bivector is Poisson.
+        d_pi of d_pi vanishes only when the bivector is Poisson.  On a
+        top-degree Q the result is the zero (dim + 1)-vector.
         """
         if isinstance(Q, ScalarField):
             Q = PVector(self.chart, 0, {(): Q})
@@ -256,7 +257,7 @@ class Bivector:
         chart = self.chart
         n = chart.dim
         p = Q.degree
-        if p >= n:
+        if p > n:
             raise PoisgeoError(f"d_pi of a degree-{p} multivector in dimension {n}")
         out = {}
         for idx in combinations(range(n), p + 1):

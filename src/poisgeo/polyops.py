@@ -216,6 +216,13 @@ def poly_lcm(a, b):
     return poly_sign_normalize(poly_div_exact(poly_mul(a, b), poly_gcd(a, b)))
 
 
+def monomials_upto(n, d):
+    """Exponent tuples in n variables of total degree <= d, in lex order."""
+    if n == 0:
+        return [()]
+    return [(e,) + rest for e in range(d + 1) for rest in monomials_upto(n - 1, d - e)]
+
+
 def poly_sorted_terms(a):
     """Terms sorted by graded-lex, descending (printing / hashing order)."""
     return sorted(a.items(), key=lambda kv: grlex_key(kv[0]), reverse=True)

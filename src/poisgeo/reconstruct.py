@@ -36,8 +36,9 @@ from .connection import CoMetric, is_riemann_poisson
 from .foliation import induced_tangent_metric, leafwise_symplectic, split_cotangent
 from .linalg import FieldMatrix, RationalMatrix
 from .poisson import Bivector
+from .polyops import monomials_upto
 from .scalar import ScalarField
-from .tensor import OneForm, VectorField, exterior_d, lie_bracket, lie_derivative
+from .tensor import OneForm, VectorField, interior_d, lie_bracket, lie_derivative
 
 
 class FoliationInput:
@@ -122,7 +123,8 @@ def perpendicular_foliate_family(inp, ansatz_degree=2):
     orth = inp.orthogonal_frame()
     if not orth:
         return []
-    monos = _monomials(chart, ansatz_degree)
+    one = {(0,) * chart.dim: 1}
+    monos = [ScalarField(chart, {m: 1}, one) for m in monomials_upto(chart.dim, ansatz_degree)]
     candidates = [m * w for m in monos for w in orth]
     ann = inp.annihilator_of_f()
     condition_fields = []
@@ -157,22 +159,6 @@ def perpendicular_foliate_family(inp, ansatz_degree=2):
             "no perpendicular foliate field found with the polynomial ansatz"
         )
     return family
-
-
-def _monomials(chart, max_degree):
-    n = chart.dim
-    out = []
-
-    def rec(prefix, remaining, total):
-        if remaining == 0:
-            out.append(ScalarField(chart, {tuple(prefix): 1}, {(0,) * n: 1}))
-            return
-        for e in range(max_degree - total + 1):
-            rec(prefix + [e], remaining - 1, total + e)
-
-    rec([], n, 0)
-    out.sort(key=lambda f: sorted(f.num_dict()))
-    return out
 
 
 def _coefficient_rows(fields):
@@ -218,12 +204,11 @@ def validate_input(inp, ansatz_degree=2):
             raise PoisgeoError(
                 "omega must be killed by the g-orthogonal of the foliation"
             )
-    d_omega = exterior_d(inp.omega) if inp.omega.degree < chart.dim else None
-    if d_omega is not None:
-        for idx in combinations(range(r), 3):
-            val = d_omega.apply([inp.f_frame[t] for t in idx])
-            if not val.is_zero:
-                raise NotLeafwiseClosed(f"d omega nonzero on frame triple {idx}")
+    frame = inp.f_frame
+    for a, b, c in combinations(range(r), 3):
+        # d omega(f_a, f_b, f_c), as (i_{f_a} d omega)(f_b, f_c)
+        if not interior_d(frame[a], inp.omega).apply([frame[b], frame[c]]).is_zero:
+            raise NotLeafwiseClosed(f"d omega nonzero on frame triple {(a, b, c)}")
     gram = [[inp.omega.apply([u, v]) for v in inp.f_frame] for u in inp.f_frame]
     gm = FieldMatrix(chart, gram)
     for pt in inp.samples:

@@ -5,6 +5,13 @@ polynomials: gcd(num, den) = 1, den has positive graded-lex leading
 coefficient, and zero is represented as 0/1.  Equality of values is
 therefore equality of representations, which is what makes every "is this
 identically zero" verdict in the engine decidable.
+
+The constructor ``ScalarField(chart, num, den)`` is the canonicalising entry
+point for raw dicts: it divides out gcd(num, den) and fixes the sign.  The
+arithmetic keeps the form by construction instead and builds its results
+with the private ``_field``: products cross-cancel before multiplying,
+sums use Henrici's method (Knuth, TAOCP vol. 2, 4.5.1), reciprocals swap
+num and den.  So a gcd runs only where a common factor can be left.
 """
 
 from fractions import Fraction
@@ -34,6 +41,33 @@ def _const_poly(n, c):
     return {(0,) * n: c} if c else {}
 
 
+def _is_one(p):
+    """True for the constant polynomial 1."""
+    if len(p) != 1:
+        return False
+    ((m, c),) = p.items()
+    return c == 1 and not any(m)
+
+
+def _field(chart, num, den):
+    """A ScalarField from dicts already in canonical form; no gcd, no checks."""
+    out = ScalarField.__new__(ScalarField)
+    out.chart = chart
+    out._num = num
+    out._den = den
+    out._hash = None
+    return out
+
+
+def _reciprocal(f):
+    """1/f for a nonzero canonical f: swap num and den, then fix the sign."""
+    num, den = f._den, f._num
+    if den[poly_lead(den)] < 0:
+        num = poly_neg(num)
+        den = poly_neg(den)
+    return _field(f.chart, num, den)
+
+
 class ScalarField:
     """Immutable exact rational function on a chart."""
 
@@ -46,9 +80,9 @@ class ScalarField:
         n = chart.dim
         if not num:
             den = _const_poly(n, 1)
-        else:
+        elif not _is_one(den):
             g = poly_gcd(num, den)
-            if not (poly_is_const(g) and poly_lead_coeff(g) == 1):
+            if not _is_one(g):
                 num = poly_div_exact(num, g)
                 den = poly_div_exact(den, g)
             if den[poly_lead(den)] < 0:
@@ -63,7 +97,7 @@ class ScalarField:
 
     @classmethod
     def zero(cls, chart):
-        return cls(chart, {}, _const_poly(chart.dim, 1))
+        return _field(chart, {}, _const_poly(chart.dim, 1))
 
     @classmethod
     def one(cls, chart):
@@ -71,9 +105,10 @@ class ScalarField:
 
     @classmethod
     def constant(cls, chart, value):
+        # a Fraction is already canonical: coprime parts, positive denominator
         q = Fraction(value)
         n = chart.dim
-        return cls(chart, _const_poly(n, q.numerator), _const_poly(n, q.denominator))
+        return _field(chart, _const_poly(n, q.numerator), _const_poly(n, q.denominator))
 
     @classmethod
     def coordinate(cls, chart, i):
@@ -147,6 +182,34 @@ class ScalarField:
             return ScalarField.constant(self.chart, other)
         return None
 
+    def _plus(self, o, combine):
+        """self combine o for combine = poly_add or poly_sub, by Henrici's method.
+
+        With g = gcd(d1, d2), d1 = g*e1 and d2 = g*e2, the numerator
+        t = n1*e2 +- n2*e1 is coprime to e1*e2, so gcd(t, g) is the only
+        factor left to cancel; when g = 1 nothing is left at all.
+        """
+        n1, d1, n2, d2 = self._num, self._den, o._num, o._den
+        if d1 == d2:
+            num, g, e = combine(n1, n2), d1, None
+        else:
+            g = poly_gcd(d1, d2)
+            if _is_one(g):
+                e1, e2 = d1, d2
+            else:
+                e1, e2 = poly_div_exact(d1, g), poly_div_exact(d2, g)
+            num = combine(poly_mul(n1, e2), poly_mul(n2, e1))
+            e = poly_mul(e1, e2)
+        if not num:
+            return ScalarField.zero(self.chart)
+        if _is_one(g):
+            return _field(self.chart, num, g if e is None else e)
+        g2 = poly_gcd(num, g)
+        if not _is_one(g2):
+            num = poly_div_exact(num, g2)
+            g = poly_div_exact(g, g2)
+        return _field(self.chart, num, g if e is None else poly_mul(g, e))
+
     def __add__(self, other):
         o = self._coerce(other)
         if o is None:
@@ -155,10 +218,7 @@ class ScalarField:
             return o
         if o.is_zero:
             return self
-        if self._den == o._den:
-            return ScalarField(self.chart, poly_add(self._num, o._num), self._den)
-        num = poly_add(poly_mul(self._num, o._den), poly_mul(o._num, self._den))
-        return ScalarField(self.chart, num, poly_mul(self._den, o._den))
+        return self._plus(o, poly_add)
 
     __radd__ = __add__
 
@@ -168,21 +228,15 @@ class ScalarField:
             return NotImplemented
         if o.is_zero:
             return self
-        if self._den == o._den:
-            return ScalarField(self.chart, poly_sub(self._num, o._num), self._den)
-        num = poly_sub(poly_mul(self._num, o._den), poly_mul(o._num, self._den))
-        return ScalarField(self.chart, num, poly_mul(self._den, o._den))
+        if self.is_zero:
+            return -o
+        return self._plus(o, poly_sub)
 
     def __rsub__(self, other):
         return (-self) + other
 
     def __neg__(self):
-        out = ScalarField.__new__(ScalarField)
-        out.chart = self.chart
-        out._num = poly_neg(self._num)
-        out._den = self._den
-        out._hash = None
-        return out
+        return _field(self.chart, poly_neg(self._num), self._den)
 
     def __mul__(self, other):
         o = self._coerce(other)
@@ -191,20 +245,21 @@ class ScalarField:
         if self.is_zero or o.is_zero:
             return ScalarField.zero(self.chart)
         a_num, a_den, b_num, b_den = self._num, self._den, o._num, o._den
-        # cross-cancel before multiplying to keep the gcd inputs small
-        if not poly_is_const(b_den):
+        # Cross-cancel, integer content included: a_num with b_den and
+        # b_num with a_den.  Both inputs are canonical, so the product of
+        # the cancelled parts is coprime with a positive leading
+        # denominator coefficient, and needs no further gcd.
+        if not _is_one(b_den):
             g = poly_gcd(a_num, b_den)
-            if not (poly_is_const(g) and poly_lead_coeff(g) == 1):
+            if not _is_one(g):
                 a_num = poly_div_exact(a_num, g)
                 b_den = poly_div_exact(b_den, g)
-        if not poly_is_const(a_den):
+        if not _is_one(a_den):
             g = poly_gcd(b_num, a_den)
-            if not (poly_is_const(g) and poly_lead_coeff(g) == 1):
+            if not _is_one(g):
                 b_num = poly_div_exact(b_num, g)
                 a_den = poly_div_exact(a_den, g)
-        return ScalarField(
-            self.chart, poly_mul(a_num, b_num), poly_mul(a_den, b_den)
-        )
+        return _field(self.chart, poly_mul(a_num, b_num), poly_mul(a_den, b_den))
 
     __rmul__ = __mul__
 
@@ -214,8 +269,7 @@ class ScalarField:
             return NotImplemented
         if o.is_zero:
             raise DivisionByZeroField("division by the zero field")
-        inv = ScalarField(self.chart, o._den, o._num)
-        return self * inv
+        return self * _reciprocal(o)
 
     def __rtruediv__(self, other):
         o = self._coerce(other)
@@ -232,7 +286,7 @@ class ScalarField:
         if k < 0:
             if self.is_zero:
                 raise DivisionByZeroField("0 ** negative")
-            base = ScalarField(self.chart, self._den, self._num)
+            base = _reciprocal(self)
             k = -k
         # canonical fractions stay canonical under powers (coprimality persists)
         num, den = base._num, base._den
@@ -240,12 +294,7 @@ class ScalarField:
         for _ in range(k - 1):
             rnum = poly_mul(rnum, num)
             rden = poly_mul(rden, den)
-        out = ScalarField.__new__(ScalarField)
-        out.chart = self.chart
-        out._num = rnum
-        out._den = rden if rnum else _const_poly(self.chart.dim, 1)
-        out._hash = None
-        return out
+        return _field(self.chart, rnum, rden if rnum else _const_poly(self.chart.dim, 1))
 
     # -- calculus ----------------------------------------------------------
 

@@ -159,14 +159,18 @@ class OneForm(_Linear):
 
 
 class _Alternating:
-    """Shared storage for PForm / PVector: components on increasing multi-indices."""
+    """Shared storage for PForm / PVector: components on increasing multi-indices.
+
+    Degrees run over 0..dim + 1; degree dim + 1 is the zero space, which is
+    where a bivector on a 1-dimensional chart lives.
+    """
 
     __slots__ = ("chart", "degree", "comps", "_zero")
 
     def __init__(self, chart, degree, components):
         n = chart.dim
-        if not 0 <= degree <= n:
-            raise DegreeOverflow(f"degree {degree} outside 0..{n}")
+        if not 0 <= degree <= n + 1:
+            raise DegreeOverflow(f"degree {degree} outside 0..{n + 1}")
         idxs = list(combinations(range(n), degree))
         z = ScalarField.zero(chart)
         comps = {}
@@ -412,6 +416,17 @@ def exterior_d(omega):
     return PForm(chart, omega.degree + 1, out)
 
 
+def interior_d(X, omega):
+    """i_X d omega; zero when omega has top degree, so that d omega vanishes.
+
+    ``exterior_d`` itself refuses a top-degree form, since no PForm has
+    degree dim + 1; its contraction is the zero form of omega's degree.
+    """
+    if omega.degree == omega.chart.dim:
+        return PForm.zero(omega.chart, omega.degree)
+    return interior_vector(X, exterior_d(omega))
+
+
 def lie_bracket(X, Y):
     """Commutator [X, Y] of vector fields."""
     _same_chart(X, Y)
@@ -428,12 +443,7 @@ def lie_derivative(X, omega):
     _same_chart(X, omega)
     if omega.degree == 0:
         return scalar_as_pform(X.apply_to(omega.component(())))
-    n = omega.chart.dim
-    inner = interior_vector(X, omega)
-    out = exterior_d(inner) if inner.degree < n else PForm.zero(omega.chart, omega.degree)
-    if omega.degree < n:
-        out = out + interior_vector(X, exterior_d(omega))
-    return out
+    return exterior_d(interior_vector(X, omega)) + interior_d(X, omega)
 
 
 def lie_derivative_oneform(X, alpha):

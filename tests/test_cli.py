@@ -370,3 +370,38 @@ class TestInputErrors:
         depth = MAX_DEPTH - 1
         assert parse_scalar("(" * depth + "x" + ")" * depth, chart) == parse_scalar("x", chart)
         assert parse_scalar("-" * depth + "x", chart) == parse_scalar("-x", chart)
+
+
+class TestOneDimensionalChart:
+    """A 1-D chart carries only the zero bivector; every verdict is a report."""
+
+    def _write(self, tmp_path, entry):
+        path = tmp_path / "line.json"
+        path.write_text(json.dumps({
+            "name": "line",
+            "coordinates": ["x"],
+            "pi": [],
+            "cometric": [[0, 0, entry]],
+            "declared_rank": 0,
+            "samples": [[0], [1]],
+        }))
+        return str(path)
+
+    def test_flat_and_curved_line_reports(self, capsys, tmp_path):
+        for entry in ("1", "1+x^2"):
+            spec = self._write(tmp_path, entry)
+            for command in ("check", "report", "foliation"):
+                code, out, err = run_cli(capsys, command, spec, "--json")
+                assert code == 0, (entry, command, err)
+                report = json.loads(out)
+                assert report["checks"], (entry, command)
+                assert all(c["status"] in ("pass", "skip") for c in report["checks"])
+
+    def test_thm31_on_the_line(self, capsys, tmp_path):
+        spec = self._write(tmp_path, "1+x^2")
+        for p in ("0", "1"):
+            code, out, err = run_cli(
+                capsys, "cohomology", spec, "--p", p, "--degree", "1", "--thm31", "--json"
+            )
+            assert code == 0, (p, err)
+            assert json.loads(out)["betti"]["p"] == int(p)
