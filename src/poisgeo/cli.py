@@ -22,9 +22,9 @@ from . import __version__
 from .cohomology import thm31_cochain_report, truncated_betti
 from .connection import (
     levi_civita,
-    metric_defect,
+    metric_defect_coordinate,
     riemann_poisson_defect,
-    torsion_defect,
+    torsion_defect_coordinate,
 )
 from .errors import (
     ExprSyntaxError,
@@ -36,6 +36,7 @@ from .errors import (
     RankNotConstant,
     RankOdd,
     SingularLeafwiseForm,
+    SingularMetric,
     SpecFileError,
 )
 from .foliation import (
@@ -50,7 +51,6 @@ from .foliation import (
 )
 from .reconstruct import build_structure, validate_input
 from .specfile import ManifoldSpec, load_samples_file, load_spec_file
-from .tensor import OneForm
 
 
 class Check:
@@ -154,15 +154,16 @@ def run_check_pipeline(spec):
     D = None
     if metric_ok:
         D = levi_civita(pi, g)
-        coords = [OneForm.basis(chart, i) for i in range(n)]
         torsion_ok = all(
-            torsion_defect(D, pi, a, b).is_zero for a in coords for b in coords
+            torsion_defect_coordinate(D, pi, i, j).is_zero
+            for i in range(n)
+            for j in range(n)
         )
         metric_compat_ok = all(
-            metric_defect(D, g, pi, a, b, c).is_zero
-            for a in coords
-            for b in coords
-            for c in coords
+            metric_defect_coordinate(D, g, pi, i, j, k).is_zero
+            for i in range(n)
+            for j in range(n)
+            for k in range(n)
         )
         checks.append(Check("connection_torsion_free", "pass" if torsion_ok else "fail"))
         checks.append(Check("connection_metric", "pass" if metric_compat_ok else "fail"))
@@ -609,7 +610,13 @@ def main(argv=None):
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (SpecFileError, ExprSyntaxError, NonPolynomialBivector, InvalidArgument) as exc:
+    except (
+        SpecFileError,
+        ExprSyntaxError,
+        NonPolynomialBivector,
+        InvalidArgument,
+        SingularMetric,
+    ) as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return 2
     except FileNotFoundError as exc:

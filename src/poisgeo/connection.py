@@ -228,25 +228,28 @@ def levi_civita(pi, g):
     gm = g.field_matrix()
     if gm.rank() < n:
         raise SingularMetric("cometric matrix is singular")
-    forms = [OneForm.basis(chart, i) for i in range(n)]
     sharp = [pi.sharp_basis(i) for i in range(n)]
-    koszul = {}
+    # dg[a][b][c] = pi(dx_a).<dx_b, dx_c>, symmetric in (b, c)
+    dg = [[[None] * n for _ in range(n)] for _ in range(n)]
+    for a in range(n):
+        for b in range(n):
+            for c in range(b, n):
+                dg[a][b][c] = dg[a][c][b] = sharp[a].apply_to(g.entry(b, c))
+    # P[i][j][k] = <[dx_i, dx_j]_pi, dx_k>, antisymmetric in (i, j)
+    zero = ScalarField.zero(chart)
+    P = [[[zero] * n for _ in range(n)] for _ in range(n)]
     for i in range(n):
-        for j in range(n):
-            koszul[(i, j)] = pi.koszul_coordinate(i, j)
-    rhs_cols = []
+        for j in range(i + 1, n):
+            P[i][j] = g.sharp(pi.koszul_coordinate(i, j)).comps
+            P[j][i] = [-v for v in P[i][j]]
     pairs = [(i, j) for i in range(n) for j in range(n)]
-    for i, j in pairs:
-        col = []
-        for k in range(n):
-            val = sharp[i].apply_to(g.entry(j, k))
-            val = val + sharp[j].apply_to(g.entry(i, k))
-            val = val - sharp[k].apply_to(g.entry(i, j))
-            val = val + g.pairing(koszul[(i, j)], forms[k])
-            val = val + g.pairing(koszul[(k, i)], forms[j])
-            val = val + g.pairing(koszul[(k, j)], forms[i])
-            col.append(val)
-        rhs_cols.append(col)
+    rhs_cols = [
+        [
+            dg[i][j][k] + dg[j][i][k] - dg[k][i][j] + P[i][j][k] + P[k][i][j] + P[k][j][i]
+            for k in range(n)
+        ]
+        for i, j in pairs
+    ]
     rhs = FieldMatrix(chart, list(zip(*rhs_cols)))
     try:
         sols = gm.solve(rhs)
@@ -288,15 +291,31 @@ def d_pi_tensor(D, pi, alpha, beta, gamma_form):
     )
 
 
+def _coordinate_defect(D, pi, matrix, i, j, k):
+    """pi(dx_i).T_jk - sum_l G_ijl T_lk - sum_l T_jl G_ikl for a matrix T of fields."""
+    out = pi.sharp_basis(i).apply_to(matrix[j][k])
+    gij, gik = D.gamma[i][j], D.gamma[i][k]
+    for l in range(pi.chart.dim):
+        if not (gij[l].is_zero or matrix[l][k].is_zero):
+            out = out - gij[l] * matrix[l][k]
+        if not (gik[l].is_zero or matrix[j][l].is_zero):
+            out = out - matrix[j][l] * gik[l]
+    return out
+
+
+def torsion_defect_coordinate(D, pi, i, j):
+    """torsion_defect on the coordinate pair (dx_i, dx_j)."""
+    return D.basis_derivative(i, j) - D.basis_derivative(j, i) - pi.koszul_coordinate(i, j)
+
+
+def metric_defect_coordinate(D, g, pi, i, j, k):
+    """metric_defect on the coordinate triple (dx_i, dx_j, dx_k)."""
+    return _coordinate_defect(D, pi, g.matrix, i, j, k)
+
+
 def d_pi_tensor_coordinate(D, pi, i, j, k):
     """Dpi on the coordinate triple (dx_i, dx_j, dx_k)."""
-    chart = pi.chart
-    lead = pi.sharp_basis(i).apply_to(pi.entry(j, k))
-    dij = D.basis_derivative(i, j)
-    dik = D.basis_derivative(i, k)
-    return lead - pi.pairing(dij, OneForm.basis(chart, k)) - pi.pairing(
-        OneForm.basis(chart, j), dik
-    )
+    return _coordinate_defect(D, pi, pi.matrix, i, j, k)
 
 
 def riemann_poisson_defect(pi, g, D=None):

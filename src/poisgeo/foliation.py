@@ -225,8 +225,9 @@ def split_cotangent(pi, g, declared_rank, samples):
     split = FoliationSplit(pi, g, r, pts, kernel_frame, perp_frame, ts_frame, h_frame)
     fm = split.frame_matrix()
     for pt in pts:
-        if fm.eval_at(pt).rank() != n:
-            raise RankNotConstant(pt, fm.eval_at(pt).rank(), n)
+        found = fm.eval_at(pt).rank()
+        if found != n:
+            raise RankNotConstant(pt, found, n)
     return split
 
 

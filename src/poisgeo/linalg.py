@@ -15,6 +15,7 @@ from .errors import ChartMismatch, PoisgeoError, SingularMatrix
 from .kernel import poly_mul, poly_sub
 from .polyops import poly_div_exact, poly_gcd, poly_lcm, poly_lead
 from .scalar import ScalarField
+from .tensor import _det
 
 
 class FieldMatrix:
@@ -207,22 +208,7 @@ class FieldMatrix:
     def det(self):
         if self.rows != self.cols:
             raise PoisgeoError("determinant needs a square matrix")
-        n = self.rows
-        if n == 1:
-            return self.entries[0][0]
-        # cofactor expansion is fine at chart dimensions (n <= 6 or so)
-        first = self.entries[0]
-        total = ScalarField.zero(self.chart)
-        for j in range(n):
-            if first[j].is_zero:
-                continue
-            minor = FieldMatrix(
-                self.chart,
-                [[row[k] for k in range(n) if k != j] for row in self.entries[1:]],
-            )
-            term = first[j] * minor.det()
-            total = total + term if j % 2 == 0 else total - term
-        return total
+        return _det(self.chart, self.entries)
 
 
 def _normalize_vector(chart, vec):

@@ -358,6 +358,12 @@ class TestInputErrors:
         )
         self._assert_input_error(capsys, ["construct", spec], "frame entry (0, 0)")
 
+    def test_singular_cometric_christoffel_exit2(self, capsys, tmp_path):
+        spec = self._write(
+            tmp_path, cometric=[[0, 0, "x"], [0, 1, "x"], [1, 1, "x"], [2, 2, "1"]]
+        )
+        self._assert_input_error(capsys, ["christoffel", spec, "--json"], "singular")
+
     def test_deep_nesting_exit2(self, capsys, tmp_path):
         spec = self._write(tmp_path, pi=[[0, 1, "(" * 5000 + "x" + ")" * 5000]])
         self._assert_input_error(capsys, ["check", spec, "--json"], "nested")

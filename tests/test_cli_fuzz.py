@@ -1,8 +1,11 @@
-"""CLI contract over generated spec files.
+"""CLI contract over generated spec files and arguments.
 
 For any spec on a 1-3 dimensional chart, ``check`` and ``report`` with
 ``--json`` exit 0, 1 or 2, never end in a traceback, and print a JSON report
-whenever the exit code is not 2.
+whenever the exit code is not 2.  The same holds for every manifold
+subcommand under ``--samples`` overrides (good points, poles, rank drops at
+the origin, wrong lengths, ``[]``, junk entries, a JSON object) and for
+``cohomology`` ``--p``/``--degree`` in and out of range.
 """
 
 import contextlib
@@ -78,3 +81,83 @@ def test_exit_codes_and_json_reports(spec, command):
         assert report["checks"], spec
     else:
         assert out == "" and err.startswith("input error:"), (spec, err)
+
+
+POLES = ["1/{a}", "{a}/({b}-1)", "1+1/{a}^2"]
+JUNK = ["a", True, False, None, [1], {}, "1/0", "x"]
+VALID_ENTRIES = st.one_of(st.integers(-2, 2), st.sampled_from(["1/2", "-3/2", 0.5]))
+
+
+@st.composite
+def override_specs(draw):
+    """A spec whose own samples are fine, with a pole or linear entry that an
+    override sample can hit (a pole) or make drop rank (the origin)."""
+    spec = draw(specs())
+    n = len(spec["coordinates"])
+    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    if pairs and draw(st.booleans()):
+        i, j = draw(st.sampled_from(pairs))
+        spec["pi"] = [e for e in spec["pi"] if (e[0], e[1]) != (i, j)]
+        spec["pi"].append([i, j, draw(expressions(n, POLES + ["{a}", "{a}*{b}"]))])
+    if draw(st.booleans()):
+        k = draw(st.integers(0, n - 1))
+        spec["cometric"][k] = [k, k, draw(expressions(n, POLES))]
+    spec["declared_rank"] = draw(st.integers(0, n))
+    spec["samples"] = [[3] * n]
+    return spec
+
+
+@st.composite
+def sample_overrides(draw, n):
+    point = st.lists(VALID_ENTRIES, min_size=n, max_size=n)
+    kind = draw(st.sampled_from(["points", "origin", "wrong_length", "empty", "junk", "object"]))
+    if kind == "points":
+        return draw(st.lists(point, min_size=1, max_size=2))
+    if kind == "origin":
+        return [[0] * n] + draw(st.lists(point, max_size=1))
+    if kind == "wrong_length":
+        size = draw(st.integers(0, 4).filter(lambda s: s != n))
+        return [draw(st.lists(st.integers(-2, 2), min_size=size, max_size=size))]
+    if kind == "empty":
+        return []
+    if kind == "junk":
+        bad = draw(point)
+        bad[draw(st.integers(0, n - 1))] = draw(st.sampled_from(JUNK))
+        return [bad]
+    return {"samples": draw(st.lists(point, min_size=1, max_size=2))}
+
+
+@st.composite
+def invocations(draw):
+    spec = draw(override_specs())
+    n = len(spec["coordinates"])
+    command = draw(st.sampled_from(["check", "report", "foliation", "christoffel", "cohomology"]))
+    args = ["--json"]
+    if command == "cohomology":
+        args += ["--p", str(draw(st.integers(-1, n + 1)))]
+        args += ["--degree", str(draw(st.integers(-1, 2)))]
+    samples = draw(st.none() | sample_overrides(n))
+    return spec, command, args, samples
+
+
+@given(invocations())
+@settings(max_examples=60, deadline=None)
+def test_cli_arguments(invocation):
+    spec, command, args, samples = invocation
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "spec.json")
+        with open(path, "w") as fh:
+            json.dump(spec, fh)
+        argv = [command, path] + args
+        if samples is not None:
+            override = os.path.join(tmp, "samples.json")
+            with open(override, "w") as fh:
+                json.dump(samples, fh)
+            argv += ["--samples", override]
+        code, out, err = _run(argv)
+    assert code in (0, 1, 2), (argv, spec, samples, code, err)
+    assert "Traceback" not in err, err
+    if code != 2:
+        assert isinstance(json.loads(out), dict), (argv, spec, samples, out, err)
+    else:
+        assert out == "" and err.startswith("input error:"), (spec, samples, err)
