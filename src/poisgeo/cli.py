@@ -42,7 +42,6 @@ from .errors import (
 from .foliation import (
     bundle_like_report,
     foliate_report,
-    induced_tangent_metric,
     invariance_report,
     leaf_connection,
     leafwise_symplectic,
@@ -223,7 +222,7 @@ def run_check_pipeline(spec):
         omega = None
 
     try:
-        tangent = induced_tangent_metric(pi, g, split)
+        tangent = split.tangent_metric()
         tangent.validate(samples)
         checks.append(Check("induced_metric_positive", "pass"))
         ctx["tangent_metric"] = tangent
@@ -572,28 +571,23 @@ def build_parser():
 
     p = sub.add_parser("check", help="run the full identity pipeline")
     add_common(p)
-    p.set_defaults(func=cmd_check)
 
     p = sub.add_parser("christoffel", help="print the contravariant Christoffel table")
     add_common(p)
-    p.set_defaults(func=cmd_christoffel)
 
     p = sub.add_parser("foliation", help="frames, leafwise form, invariance checks")
     add_common(p)
-    p.set_defaults(func=cmd_foliation)
 
     p = sub.add_parser("construct", help="build (pi, cometric) from a foliation spec")
     p.add_argument("spec", help="path to a foliation JSON spec")
     p.add_argument("--samples", help="path to a JSON sample-point override")
     p.add_argument("--verify", action="store_true", help="re-check the constructed output")
-    p.set_defaults(func=cmd_construct)
 
     p = sub.add_parser("cohomology", help="truncated Betti numbers")
     add_common(p)
     p.add_argument("--p", type=int, required=True, help="multivector degree")
     p.add_argument("--degree", type=int, required=True, help="coefficient degree window")
     p.add_argument("--thm31", action="store_true", help="also run the splitting report")
-    p.set_defaults(func=cmd_cohomology)
 
     p = sub.add_parser("report", help="full JSON report")
     p.add_argument("spec", help="path to a JSON spec file")
@@ -601,15 +595,23 @@ def build_parser():
     p.add_argument(
         "--json", action="store_true", help="accepted for symmetry; report is always JSON"
     )
-    p.set_defaults(func=cmd_report)
     return parser
 
 
+_parser = None
+
+
 def main(argv=None):
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    """Run one command line; the parser is built on the first call and reused."""
+    global _parser
+    if _parser is None:
+        _parser = build_parser()
+    args = _parser.parse_args(argv)
+    # read from the module on every call rather than stored in the parser, so
+    # a later rebinding of a cmd_* function is the one that runs
+    command = globals()[f"cmd_{args.command}"]
     try:
-        return args.func(args)
+        return command(args)
     except (
         SpecFileError,
         ExprSyntaxError,

@@ -17,7 +17,6 @@ from .errors import (
     NotPositiveDefiniteAt,
     NotSymmetric,
     PoisgeoError,
-    SingularMatrix,
     SingularMetric,
 )
 from .linalg import FieldMatrix
@@ -126,14 +125,7 @@ class CoMetric:
                     raise NotSymmetric(f"entries ({i},{j}) and ({j},{i}) differ")
         if not samples:
             raise PoisgeoError("need at least one sample point")
-        pts = [as_point(self.chart, p) for p in samples]
-        for pt in pts:
-            values = [[e.eval_at(pt) for e in row] for row in self.matrix]
-            for k in range(1, n + 1):
-                minor = [row[:k] for row in values[:k]]
-                if _fraction_det(minor) <= 0:
-                    raise NotPositiveDefiniteAt(pt, k - 1)
-        return pts
+        return check_positive_definite(self.chart, self.matrix, samples)
 
     def leading_minor(self, k):
         """Leading principal k x k minor as a symbolic determinant."""
@@ -141,7 +133,34 @@ class CoMetric:
         return FieldMatrix(self.chart, sub).det()
 
 
+def check_positive_definite(chart, matrix, samples):
+    """Sylvester's criterion for a symmetric matrix of fields at every sample.
+
+    One exact elimination per sample, without pivoting: while the earlier
+    pivots are positive, the k-th pivot is the k-th leading minor over the
+    (k-1)-th, so the first pivot that is not positive sits at the first
+    leading minor that is not.  Returns the checked points; raises
+    NotPositiveDefiniteAt with that 0-based index.
+    """
+    n = chart.dim
+    pts = [as_point(chart, p) for p in samples]
+    for pt in pts:
+        m = [[e.eval_at(pt) for e in row] for row in matrix]
+        for k in range(n):
+            pivot = m[k][k]
+            if pivot <= 0:
+                raise NotPositiveDefiniteAt(pt, k)
+            for i in range(k + 1, n):
+                factor = m[i][k] / pivot
+                if factor:
+                    for j in range(k + 1, n):
+                        m[i][j] -= factor * m[k][j]
+    return pts
+
+
 def _fraction_det(rows):
+    """Determinant of a square Fraction matrix: the leading-minor form of the
+    criterion above, which the tests compare it with."""
     n = len(rows)
     m = [list(r) for r in rows]
     det = Fraction(1)
@@ -225,9 +244,6 @@ def levi_civita(pi, g):
     if g.chart != chart:
         raise PoisgeoError("bivector and cometric on different charts")
     n = chart.dim
-    gm = g.field_matrix()
-    if gm.rank() < n:
-        raise SingularMetric("cometric matrix is singular")
     sharp = [pi.sharp_basis(i) for i in range(n)]
     # dg[a][b][c] = pi(dx_a).<dx_b, dx_c>, symmetric in (b, c)
     dg = [[[None] * n for _ in range(n)] for _ in range(n)]
@@ -251,10 +267,9 @@ def levi_civita(pi, g):
         for i, j in pairs
     ]
     rhs = FieldMatrix(chart, list(zip(*rhs_cols)))
-    try:
-        sols = gm.solve(rhs)
-    except SingularMatrix as exc:
-        raise SingularMetric(str(exc)) from exc
+    rank, sols = g.field_matrix().solve_with_rank(rhs)
+    if rank < n:
+        raise SingularMetric("cometric matrix is singular")
     half = ScalarField.constant(chart, Fraction(1, 2))
     gamma = [[[None] * n for _ in range(n)] for _ in range(n)]
     for col, (i, j) in enumerate(pairs):

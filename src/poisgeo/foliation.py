@@ -15,7 +15,6 @@ from .errors import (
     DegreeOverflow,
     Inconclusive,
     InternalInconsistency,
-    NotPositiveDefiniteAt,
     NotSymmetric,
     NotTangent,
     PoisgeoError,
@@ -23,7 +22,7 @@ from .errors import (
     RankOdd,
     SingularLeafwiseForm,
 )
-from .connection import _fraction_det, levi_civita
+from .connection import check_positive_definite, levi_civita
 from .linalg import FieldMatrix
 from .polyops import monomials_upto
 from .scalar import ScalarField
@@ -97,15 +96,8 @@ class TangentMetric:
         return VectorField(self.chart, [sol.entry(i, 0) for i in range(self.chart.dim)])
 
     def validate(self, samples):
-        """Positive-definiteness at every sample via exact leading minors."""
-        n = self.chart.dim
-        pts = [as_point(self.chart, p) for p in samples]
-        for pt in pts:
-            values = [[e.eval_at(pt) for e in row] for row in self.matrix]
-            for k in range(1, n + 1):
-                if _fraction_det([row[:k] for row in values[:k]]) <= 0:
-                    raise NotPositiveDefiniteAt(pt, k - 1)
-        return pts
+        """Positive-definiteness at every sample (Sylvester's criterion)."""
+        return check_positive_definite(self.chart, self.matrix, samples)
 
 
 class FoliationSplit:
@@ -128,6 +120,7 @@ class FoliationSplit:
         "h_frame",
         "_frame_matrix",
         "_frame_inverse",
+        "_tangent_metric",
     )
 
     def __init__(self, pi, g, rank, samples, kernel_frame, perp_frame, ts_frame, h_frame):
@@ -141,6 +134,7 @@ class FoliationSplit:
         self.h_frame = tuple(h_frame)
         self._frame_matrix = None
         self._frame_inverse = None
+        self._tangent_metric = None
 
     @property
     def chart(self):
@@ -158,9 +152,32 @@ class FoliationSplit:
         return self._frame_matrix
 
     def frame_inverse(self):
+        """Rows M^-1 perp_frame, then N^-1 kernel_frame: the coframe dual to
+        (ts_frame, h_frame), with M[c][d] = perp_c(ts_d) and N[a][b] = kappa_a(h_b).
+
+        The inverse is block diagonal on these frames because perp kills h
+        (g-orthogonality) and kappa kills ts (pi_sharp(kappa) = 0), which
+        split_cotangent checks exactly.
+        """
         if self._frame_inverse is None:
-            self._frame_inverse = self.frame_matrix().inverse()
+            rows = []
+            for forms, fields in (
+                (self.perp_frame, self.ts_frame),
+                (self.kernel_frame, self.h_frame),
+            ):
+                if forms:
+                    chart = self.chart
+                    pairing = FieldMatrix(chart, [[a.pair(X) for X in fields] for a in forms])
+                    frame = FieldMatrix(chart, [a.comps for a in forms])
+                    rows.extend((pairing.inverse() @ frame).entries)
+            self._frame_inverse = FieldMatrix(self.chart, rows)
         return self._frame_inverse
+
+    def tangent_metric(self):
+        """The induced tangent metric of (pi, g), built once per split."""
+        if self._tangent_metric is None:
+            self._tangent_metric = induced_tangent_metric(self.pi, self.g, self)
+        return self._tangent_metric
 
     def coframe(self):
         """Dual 1-forms of (ts_frame, h_frame), rows of the inverse frame matrix."""
@@ -525,31 +542,28 @@ def invariance_report(pi, g, split, riemann_poisson):
       frame; asserted only on structures with vanishing Dpi, reported
       otherwise.
     """
-    chart = pi.chart
-    n = chart.dim
+    n = pi.chart.dim
+    pv = pi.as_pvector()
+    lie = [lie_derivative_bivector(X, pv) for X in split.ts_frame + split.h_frame]
+    pairs = list(combinations(range(split.rank), 2))
+    # (L_X pi)(perp_b, perp_c) is both the bracket check's right-hand side
+    # and the perp residual
+    brackets = []
+    if split.h_frame:
+        brackets = [pi.koszul(split.perp_frame[b], split.perp_frame[c]) for b, c in pairs]
     bracket_vs_lie = []
-    for X in split.h_frame:
-        lx = lie_derivative_bivector(X, pi.as_pvector())
-        for b in range(split.rank):
-            for c in range(b + 1, split.rank):
-                lhs = pi.koszul(split.perp_frame[b], split.perp_frame[c]).pair(X)
-                rhs = lx.apply([split.perp_frame[b], split.perp_frame[c]])
-                bracket_vs_lie.append(((b, c), lhs - rhs))
+    perp_residuals = []
+    for X, lx in zip(split.h_frame, lie[split.rank:]):
+        for (b, c), br in zip(pairs, brackets):
+            rhs = lx.apply([split.perp_frame[b], split.perp_frame[c]])
+            bracket_vs_lie.append(((b, c), br.pair(X) - rhs))
+            perp_residuals.append(rhs)
     eq13_ok = all(res.is_zero for _, res in bracket_vs_lie)
     coordinate_residuals = []
-    for X in split.ts_frame + split.h_frame:
-        lx = lie_derivative_bivector(X, pi.as_pvector())
+    for X, lx in zip(split.ts_frame + split.h_frame, lie):
         for i, j in combinations(range(n), 2):
             lhs = pi.koszul_coordinate(i, j).pair(X)
             coordinate_residuals.append(((i, j), lhs - lx.component((i, j))))
-    perp_residuals = []
-    for X in split.h_frame:
-        lx = lie_derivative_bivector(X, pi.as_pvector())
-        for b in range(split.rank):
-            for c in range(b + 1, split.rank):
-                perp_residuals.append(
-                    lx.apply([split.perp_frame[b], split.perp_frame[c]])
-                )
     eq12_ok = all(res.is_zero for res in perp_residuals)
     return {
         "bracket_vs_lie_ok": eq13_ok,
@@ -594,7 +608,7 @@ def bundle_like_report(pi, g, split, max_degree=2):
     family = basic_form_family(pi, g, max_degree)
     if not family:
         raise Inconclusive("no basic 1-forms found in the enumerated family")
-    tangent = induced_tangent_metric(pi, g, split)
+    tangent = split.tangent_metric()
     failures = []
     for a in family:
         for b in family:

@@ -167,10 +167,12 @@ class FieldMatrix:
             basis.append(_normalize_vector(chart, vec))
         return basis
 
-    def solve(self, rhs):
-        """Solve M X = rhs; free variables (if any) are set to zero.
+    def solve_with_rank(self, rhs):
+        """(rank of M, X) from one echelon of [M | rhs].
 
-        Raises SingularMatrix when the system is inconsistent.
+        The pivots that fall in M's columns are M's own pivots, so their
+        count is M's rank.  X solves M X = rhs with free variables (if any)
+        set to zero; it is None when the system is inconsistent.
         """
         if rhs.rows != self.rows:
             raise PoisgeoError("rhs row count mismatch")
@@ -179,13 +181,13 @@ class FieldMatrix:
             chart,
             [list(self.entries[i]) + list(rhs.entries[i]) for i in range(self.rows)],
         )
-        rank, pivot_cols, ech = self._poly_echelon(aug._cleared_rows())
-        if any(pc >= self.cols for pc in pivot_cols):
-            raise SingularMatrix("inconsistent linear system")
+        _, pivot_cols, ech = self._poly_echelon(aug._cleared_rows())
+        sys_pivots = [pc for pc in pivot_cols if pc < self.cols]
+        if len(sys_pivots) < len(pivot_cols):
+            return len(sys_pivots), None
         zero = ScalarField.zero(chart)
         const_one = {(0,) * chart.dim: 1}
         out_cols = []
-        sys_pivots = [pc for pc in pivot_cols if pc < self.cols]
         for b in range(rhs.cols):
             vec = [zero] * self.cols
             for r in range(len(sys_pivots) - 1, -1, -1):
@@ -196,14 +198,25 @@ class FieldMatrix:
                         acc = acc - ScalarField(chart, ech[r][j], const_one) * vec[j]
                 vec[pc] = acc / ScalarField(chart, ech[r][pc], const_one)
             out_cols.append(vec)
-        return FieldMatrix(chart, list(zip(*out_cols)))
+        return len(sys_pivots), FieldMatrix(chart, list(zip(*out_cols)))
+
+    def solve(self, rhs):
+        """Solve M X = rhs; free variables (if any) are set to zero.
+
+        Raises SingularMatrix when the system is inconsistent.
+        """
+        _, sol = self.solve_with_rank(rhs)
+        if sol is None:
+            raise SingularMatrix("inconsistent linear system")
+        return sol
 
     def inverse(self):
         if self.rows != self.cols:
             raise PoisgeoError("inverse needs a square matrix")
-        if self.rank() < self.rows:
+        rank, inv = self.solve_with_rank(FieldMatrix.identity(self.chart, self.rows))
+        if rank < self.rows:
             raise SingularMatrix("matrix has identically zero determinant")
-        return self.solve(FieldMatrix.identity(self.chart, self.rows))
+        return inv
 
     def det(self):
         if self.rows != self.cols:

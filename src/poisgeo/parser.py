@@ -12,7 +12,17 @@ Grammar (UTF-8 text, whitespace insignificant):
 binary operators associate left except '^'.  Exponents must reduce to a
 nonnegative integer constant.  Rational literals like 3/4 come out of the
 ordinary division rule.
+
+Every '^', '*' and '/' is sized before it is expanded: from its operands the
+parser bounds the numerator and denominator of the result (total degree,
+number of terms, bits of the largest coefficient) and refuses it with
+ExprSyntaxError, at the operator's offset, when a bound exceeds MAX_DEGREE,
+MAX_TERMS or MAX_COEFF_BITS.  An exponent above MAX_DEGREE is refused
+whatever its base.  So "x^(10^9)" or "(1+x+y+z)^60" fails at once instead
+of expanding for minutes.
 """
+
+from math import comb
 
 from .errors import ExprSyntaxError, UnknownIdentifier
 from .scalar import ScalarField
@@ -27,6 +37,12 @@ _OPS = set("+-*/^()")
 # Deepest nesting of parentheses, unary minus and exponents; each level costs
 # a few Python frames, so this keeps parsing far from the recursion limit.
 MAX_DEPTH = 100
+
+# Size caps for the result of one '^', '*' or '/'; see the module docstring.
+# (1+x)^200 and (1+x+y+z)^20, with 1771 terms, fit.
+MAX_DEGREE = 200
+MAX_TERMS = 5000
+MAX_COEFF_BITS = 10000
 
 
 def _tokenize(text):
@@ -108,10 +124,15 @@ class _Parser:
     def term(self):
         value = self.unary()
         while True:
-            kind, val, _ = self.peek()
+            kind, val, off = self.peek()
             if kind == _TOK_OP and val in "*/":
                 self.advance()
                 rhs = self.unary()
+                num, den = rhs.num_dict(), rhs.den_dict()
+                if val == "/":
+                    num, den = den, num
+                _check_product(value.num_dict(), num, self.chart, off)
+                _check_product(value.den_dict(), den, self.chart, off)
                 value = value * rhs if val == "*" else value / rhs
             else:
                 return value
@@ -138,6 +159,10 @@ class _Parser:
             exp_off = self.peek()[2]
             exponent = self.unary()
             k = _as_nonneg_int(exponent, exp_off)
+            if k > MAX_DEGREE:
+                _too_large(f"exponent {k}", MAX_DEGREE, off)
+            _check_power(base.num_dict(), k, self.chart, off)
+            _check_power(base.den_dict(), k, self.chart, off)
             return base ** k
         return base
 
@@ -168,6 +193,50 @@ def _as_nonneg_int(field, offset):
         raise ExprSyntaxError(f"exponent {q} is not a nonnegative integer", offset,
                               expected="nonnegative integer exponent")
     return int(q)
+
+
+def _size(poly):
+    """(total degree, terms, bits of the largest coefficient) of a nonzero dict."""
+    return (
+        max(sum(m) for m in poly),
+        len(poly),
+        max(abs(c).bit_length() for c in poly.values()),
+    )
+
+
+def _too_large(what, cap, offset):
+    raise ExprSyntaxError(f"{what} exceeds the cap of {cap}", offset,
+                          expected="a smaller expression")
+
+
+def _check_bounds(degree, terms, bits, chart, offset):
+    """Refuse a predicted result; terms are also bounded by the monomial count."""
+    if degree > MAX_DEGREE:
+        _too_large(f"result of total degree {degree}", MAX_DEGREE, offset)
+    terms = min(terms, comb(chart.dim + degree, degree))
+    if terms > MAX_TERMS:
+        _too_large(f"result of up to {terms} terms", MAX_TERMS, offset)
+    if bits > MAX_COEFF_BITS:
+        _too_large(f"result with coefficients of up to {bits} bits", MAX_COEFF_BITS, offset)
+
+
+def _check_product(p, q, chart, offset):
+    """Bound p*q: degrees add, terms multiply, coefficients are at most
+    min(terms) products of one coefficient from each."""
+    if not (p and q):
+        return
+    dp, tp, bp = _size(p)
+    dq, tq, bq = _size(q)
+    _check_bounds(dp + dq, tp * tq, bp + bq + min(tp, tq).bit_length(), chart, offset)
+
+
+def _check_power(p, k, chart, offset):
+    """Bound p^k: k times the degree, C(t+k-1, k) monomial products, and
+    coefficients below (t * max|c|)^k."""
+    if not p or k < 2:
+        return
+    d, t, b = _size(p)
+    _check_bounds(k * d, comb(t + k - 1, k), k * (b + t.bit_length()), chart, offset)
 
 
 def parse_scalar(text, chart):

@@ -17,8 +17,8 @@ from .tensor import (
     VectorField,
     exterior_d,
     interior_d,
+    interior_vector,
     lie_bracket,
-    lie_derivative,
 )
 
 
@@ -181,24 +181,27 @@ class Bivector:
             i_{pi(alpha)} d beta - i_{pi(beta)} d alpha + d(pi(alpha, beta))
 
         They agree identically (expand the Lie derivatives with Cartan's
-        formula and use beta(pi(alpha)) = pi(alpha, beta)); computing both
-        guards the implementation, hence InternalInconsistency on mismatch.
+        formula and use beta(pi(alpha)) = pi(alpha, beta)).  Both share the
+        contractions i_{pi(alpha)} d beta and i_{pi(beta)} d alpha, so what
+        the comparison guards is the exact part, d(beta(pi(alpha))) and
+        d(alpha(pi(beta))) against d(pi(alpha, beta)); a mismatch raises
+        InternalInconsistency.
         """
         _check(self, alpha)
         _check(self, beta)
+        a, b = alpha.as_pform(), beta.as_pform()
         pa = self.sharp(alpha)
         pb = self.sharp(beta)
         d_pair = exterior_d(self.pairing(alpha, beta))
+        ib = interior_d(pa, b)
+        ia = interior_d(pb, a)
+        # line 1 is lie_derivative's Cartan formula with ib and ia reused
         line1 = (
-            lie_derivative(pa, beta.as_pform())
-            - lie_derivative(pb, alpha.as_pform())
+            (exterior_d(interior_vector(pa, b)) + ib)
+            - (exterior_d(interior_vector(pb, a)) + ia)
             - d_pair
         )
-        line2 = (
-            interior_d(pa, beta.as_pform())
-            - interior_d(pb, alpha.as_pform())
-            + d_pair
-        )
+        line2 = ib - ia + d_pair
         if line1 != line2:
             raise InternalInconsistency(
                 f"the two Koszul bracket expressions disagree for {alpha!r}, {beta!r}"

@@ -411,3 +411,49 @@ class TestOneDimensionalChart:
             )
             assert code == 0, (p, err)
             assert json.loads(out)["betti"]["p"] == int(p)
+
+
+class TestExpressionCaps:
+    """'^', '*' and '/' are sized before they expand: an expression over the
+    caps in ``parser`` exits 2 at once with one line naming the operator's
+    offset, and ordinary powers still parse."""
+
+    BUDGET_S = 1.0
+
+    def _write(self, tmp_path, entry):
+        data = json.loads(corpus_path("r3_flat").read_text())
+        data["pi"] = [[0, 1, entry]]
+        path = tmp_path / "spec.json"
+        path.write_text(json.dumps(data))
+        return str(path)
+
+    def test_oversized_expressions_exit2_within_budget(self, capsys, tmp_path):
+        import time
+
+        cases = {
+            "x^(10^9)": "offset 1",
+            "x^(10^6)": "offset 1",
+            "1^(10^9)": "offset 1",
+            "(1+x+y+z)^60": "offset 9",
+            "(1+x+y+z)^20*(1+x+y+z)^20": "offset 12",
+            "(10^100)^100": "offset 8",
+        }
+        for entry, offset in cases.items():
+            spec = self._write(tmp_path, entry)
+            started = time.perf_counter()
+            code, out, err = run_cli(capsys, "check", spec, "--json")
+            elapsed = time.perf_counter() - started
+            assert code == 2 and out == "", (entry, code, err)
+            assert err.startswith("input error:") and err.count("\n") == 1, err
+            assert "exceeds the cap" in err and offset in err, (entry, err)
+            assert elapsed < self.BUDGET_S, (entry, elapsed)
+
+    def test_powers_under_the_caps_parse(self, capsys, tmp_path):
+        from poisgeo import Chart, parse_scalar
+
+        chart = Chart(["x", "y", "z"])
+        assert len(parse_scalar("(1+x)^20", chart).num_dict()) == 21
+        assert len(parse_scalar("(1+x+y+z)^20", chart).num_dict()) == 1771
+        spec = self._write(tmp_path, "(1+x)^20")
+        code, out, _ = run_cli(capsys, "check", spec, "--json")
+        assert code in (0, 1) and json.loads(out)["checks"]

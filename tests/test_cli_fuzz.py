@@ -5,7 +5,8 @@ For any spec on a 1-3 dimensional chart, ``check`` and ``report`` with
 whenever the exit code is not 2.  The same holds for every manifold
 subcommand under ``--samples`` overrides (good points, poles, rank drops at
 the origin, wrong lengths, ``[]``, junk entries, a JSON object) and for
-``cohomology`` ``--p``/``--degree`` in and out of range.
+``cohomology`` ``--p``/``--degree`` in and out of range.  An entry over the
+parser's size caps exits 2 with one line, well within a second.
 """
 
 import contextlib
@@ -13,6 +14,7 @@ import io
 import json
 import os
 import tempfile
+import time
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -161,3 +163,52 @@ def test_cli_arguments(invocation):
         assert isinstance(json.loads(out), dict), (argv, spec, samples, out, err)
     else:
         assert out == "" and err.startswith("input error:"), (spec, samples, err)
+
+
+BASES = ["{a}", "1+{a}", "1+{a}+{b}", "1-{a}*{b}", "2", "3*{a}^2", "1/(1+{a})", "(1+{a})/{b}"]
+HUGE_EXPONENTS = ["201", "(10^6)", "(10^9)", "(2^200)"]
+
+
+@st.composite
+def oversized_entries(draw):
+    """An expression that is over one of the parser's caps, by an exponent or
+    by a product of two large powers, possibly inside a larger sum."""
+    a, b = draw(st.sampled_from(NAMES)), draw(st.sampled_from(NAMES))
+    base = draw(st.sampled_from(BASES)).format(a=a, b=b)
+    kind = draw(st.sampled_from(["power", "terms", "degree"]))
+    if kind == "power":
+        big = f"({base})^{draw(st.sampled_from(HUGE_EXPONENTS))}"
+    elif kind == "terms":  # each factor fits; their product has over 5000 terms
+        big = f"(1+x+y+z)^{draw(st.integers(15, 20))}*(1+x-y+z)^{draw(st.integers(15, 20))}"
+    else:
+        big = f"{a}^{draw(st.integers(101, 150))}*{b}^{draw(st.integers(100, 150))}"
+    return draw(st.sampled_from(["{e}", "x+{e}", "{e}-1", "x*({e})"])).format(e=big)
+
+
+@given(oversized_entries(), st.sampled_from(["check", "report", "christoffel"]),
+       st.sampled_from(["pi", "cometric"]))
+@settings(max_examples=30, deadline=None)
+def test_oversized_expressions_exit2_at_once(entry, command, where):
+    spec = {
+        "name": "big",
+        "coordinates": NAMES,
+        "pi": [[0, 1, "1"]],
+        "cometric": [[k, k, "1"] for k in range(3)],
+        "declared_rank": 2,
+        "samples": [[1, 1, 1]],
+    }
+    if where == "pi":
+        spec["pi"] = [[0, 1, entry]]
+    else:
+        spec["cometric"][2] = [2, 2, entry]
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "spec.json")
+        with open(path, "w") as fh:
+            json.dump(spec, fh)
+        started = time.perf_counter()
+        code, out, err = _run([command, path, "--json"])
+        elapsed = time.perf_counter() - started
+    assert code == 2 and out == "", (entry, code, err)
+    assert err.startswith("input error:") and err.count("\n") == 1, err
+    assert "exceeds the cap" in err, (entry, err)
+    assert elapsed < 1.0, (entry, elapsed)
