@@ -94,25 +94,42 @@ def poly_diff(a, i):
 
 
 def poly_eval(a, point):
-    """Evaluate at a tuple of Fractions (exact)."""
+    """Evaluate at a tuple of rationals (exact).
+
+    With x_i = p_i/q_i and d_i the degree of a in x_i,
+    a(x) = sum c * prod p_i^e_i q_i^(d_i - e_i) / prod q_i^d_i, so the sum
+    runs in ints and one Fraction is built at the end.
+    """
     if not a:
         return Fraction(0)
     n = len(point)
-    cache = [{0: Fraction(1)} for _ in range(n)]
-    total = Fraction(0)
+    deg = [0] * n
+    for m in a:
+        for i, e in enumerate(m):
+            if e > deg[i]:
+                deg[i] = e
+    den = 1
+    tables = []
+    for i, d in enumerate(deg):
+        if not d:
+            continue
+        p, q = point[i].numerator, point[i].denominator
+        w = [1] * (d + 1)
+        for e in range(1, d + 1):
+            w[e] = w[e - 1] * p
+        if q != 1:
+            qe = 1
+            for e in range(d - 1, -1, -1):
+                qe *= q
+                w[e] *= qe
+            den *= qe
+        tables.append((i, w))
+    total = 0
     for m, c in a.items():
-        term = Fraction(c)
-        for i in range(n):
-            e = m[i]
-            if e:
-                pows = cache[i]
-                p = pows.get(e)
-                if p is None:
-                    p = point[i] ** e
-                    pows[e] = p
-                term *= p
-        total += term
-    return total
+        for i, w in tables:
+            c *= w[m[i]]
+        total += c
+    return Fraction(total, den)
 
 
 def grlex_key(m):

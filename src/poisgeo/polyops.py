@@ -1,14 +1,24 @@
 """Multivariate integer-polynomial helpers: exact division, content, gcd.
 
-gcd uses the subresultant polynomial remainder sequence with content
-recursion, working directly on the flat exponent-tuple dicts of
-``poisgeo.kernel``.  Degrees in this engine stay small, so the classic
-algorithm is plenty; the point is exactness, not asymptotics.
+Everything works directly on the flat exponent-tuple dicts of
+``poisgeo.kernel``.  The gcd is the heuristic GCDHEU of Char, Geddes and
+Gonnet (J. Symbolic Comput. 7, 1989) in the multivariate form of Liao and
+Fateman (ISSAC 1995): evaluate one variable at a large integer xi, take the
+exact gcd of the images one variable down, and rebuild the gcd and both
+cofactors from their images by symmetric xi-adic expansion.  No result is
+trusted until exact arithmetic certifies it: h * (a/h) == a and
+h * (b/h) == b, or exact division by the primitive part of h.  With
+xi >= 2 min(|a|, |b|) + 2 (max norms of the primitive inputs) a certified
+common divisor built this way is the gcd, provided every level below
+returned the exact gcd of its images; so each level does.  After a few
+larger choices of xi fail to certify, the subresultant polynomial
+remainder sequence (``_prs_gcd``) computes the gcd instead.
 """
 
+import heapq
 import math
 
-from .kernel import grlex_key, poly_lead, poly_mul, poly_scale, poly_sub, poly_term_mul
+from .kernel import grlex_key, poly_lead, poly_mul, poly_scale, poly_sub
 
 
 class ExactDivisionError(ArithmeticError):
@@ -61,20 +71,51 @@ def poly_div_exact(a, b):
                 raise ExactDivisionError("coefficient not divisible")
             out[m] = q
         return out
+    # The remainder's graded-lex leading monomial comes off a max-heap with
+    # lazy deletion instead of a scan of the whole remainder per step.  Heap
+    # keys encode (total degree, exponents) as digits of one integer in a
+    # base above a's total degree, which bounds every remainder monomial;
+    # the code is additive, so x^mq * x^mb has key(mq) + key(mb).
+    base = max(sum(m) for m in a) + 1
+
+    def key(m):
+        k = sum(m)
+        for e in m:
+            k = k * base + e
+        return k
+
     lb = poly_lead(b)
     cb = b[lb]
+    kb = key(lb)
+    rest = [(m, c, key(m)) for m, c in b.items() if m != lb]
     rem = dict(a)
+    heap = [(-key(m), m) for m in rem]
+    heapq.heapify(heap)
     quot = {}
     while rem:
-        la = poly_lead(rem)
+        nk, la = heapq.heappop(heap)
+        if la not in rem:
+            continue
         mq = tuple(x - y for x, y in zip(la, lb))
         if any(e < 0 for e in mq):
             raise ExactDivisionError("monomial not divisible")
-        cq, r = divmod(rem[la], cb)
+        cq, r = divmod(rem.pop(la), cb)
         if r:
             raise ExactDivisionError("leading coefficient not divisible")
         quot[mq] = cq
-        rem = poly_sub(rem, poly_term_mul(b, mq, cq))
+        kq = -nk - kb
+        for mb, c, k in rest:
+            m = tuple(x + y for x, y in zip(mb, mq))
+            s = rem.get(m)
+            if s is None:
+                rem[m] = -cq * c
+                heapq.heappush(heap, (-(kq + k), m))
+            else:
+                s -= cq * c
+                if s:
+                    rem[m] = s
+                else:
+                    del rem[m]
     return quot
 
 
@@ -142,7 +183,7 @@ def _content_pp(a, v):
         bucket[red] = bucket.get(red, 0) + c
     cont = {}
     for part in coeffs.values():
-        cont = poly_gcd(cont, part)
+        cont = _prs_gcd(cont, part)
         if poly_is_const(cont) and cont and abs(next(iter(cont.values()))) == 1:
             break
     if not cont:
@@ -150,10 +191,11 @@ def _content_pp(a, v):
     return cont, poly_div_exact(a, cont)
 
 
-def poly_gcd(a, b):
-    """gcd in Z[x1..xn], sign-normalized (positive graded-lex leading coeff).
+def _prs_gcd(a, b):
+    """gcd by the subresultant PRS with content recursion, sign-normalized.
 
-    Includes the integer content: poly_gcd(6x, 4x^2) = 2x.
+    The fallback of ``poly_gcd`` when the heuristic does not certify; slow
+    on large coprime inputs, but it never fails.
     """
     if not a:
         return poly_sign_normalize(dict(b))
@@ -169,12 +211,12 @@ def poly_gcd(a, b):
         # gcd must have degree 0 in v: recurse on the v-contents
         ca, _ = _content_pp(a, v)
         cb, _ = _content_pp(b, v)
-        return poly_gcd(ca, cb)
+        return _prs_gcd(ca, cb)
     if da < db:
         a, b = b, a
     ca, pa = _content_pp(a, v)
     cb, pb = _content_pp(b, v)
-    c = poly_gcd(ca, cb)
+    c = _prs_gcd(ca, cb)
     # subresultant PRS on the primitive parts
     A, B = pa, pb
     g = {poly_const_mono(n): 1}
@@ -210,10 +252,162 @@ def poly_gcd(a, b):
     return poly_sign_normalize(poly_mul(c, gcd_pp))
 
 
+HEU_GCD_MAX = 6  # evaluation points tried before the PRS fallback
+
+
+def _int_divide(a, k):
+    return a if k == 1 else {m: c // k for m, c in a.items()}
+
+
+def _int_scale(a, k):
+    return a if k == 1 else {m: c * k for m, c in a.items()}
+
+
+def _monomial_cofactors(a, b):
+    """Cofactors when a or b is a single term (a constant included).
+
+    Every divisor of c x^m is an integer times a monomial, so the gcd is
+    the integer content of both times x^(componentwise minimum exponent).
+    """
+    g = 0
+    low = None
+    for p in (a, b):
+        for m, c in p.items():
+            g = math.gcd(g, c)
+            low = m if low is None else tuple(map(min, low, m))
+    if not any(low):
+        return {low: g}, _int_divide(a, g), _int_divide(b, g)
+
+    def quotient(p):
+        return {tuple(x - y for x, y in zip(m, low)): c // g for m, c in p.items()}
+
+    return {low: g}, quotient(a), quotient(b)
+
+
+def _evaluate(a, v, xi_pows):
+    """a with x_v = xi, given xi_pows[e] = xi^e; x_0..x_(v-1) must not occur."""
+    head = (0,) * (v + 1)
+    out = {}
+    for m, c in a.items():
+        key = head + m[v + 1:]
+        out[key] = out.get(key, 0) + c * xi_pows[m[v]]
+    return {m: c for m, c in out.items() if c}
+
+
+def _interpolate(image, v, xi):
+    """Symmetric xi-adic expansion: each integer coefficient of the image
+    becomes the coefficients of x_v^0, x_v^1, ... in (-xi/2, xi/2]."""
+    half = xi // 2
+    out = {}
+    heads = []
+    for m, c in image.items():
+        tail = m[v + 1:]
+        i = 0
+        while c:
+            d = c % xi
+            if d > half:
+                d -= xi
+            if d:
+                while len(heads) <= i:
+                    heads.append((0,) * v + (len(heads),))
+                out[heads[i] + tail] = d
+            c = (c - d) // xi
+            i += 1
+    return out
+
+
+def _is_product(h, q, p):
+    """h * q == p, without a product when h is the constant 1."""
+    if len(h) == 1 and next(iter(h.values())) == 1 and not any(next(iter(h))):
+        return q == p
+    return poly_mul(h, q) == p
+
+
+def _cofactors(a, b):
+    """(g, a/g, b/g) for nonzero a, b with g an exact gcd of a and b.
+
+    The integer content is included; the sign of g is not normalized.
+    """
+    if len(a) == 1 or len(b) == 1:
+        return _monomial_cofactors(a, b)
+    ca = poly_int_content(a)
+    cb = poly_int_content(b)
+    c = math.gcd(ca, cb)
+    a = _int_divide(a, ca)
+    b = _int_divide(b, cb)
+    ka, kb = ca // c, cb // c
+    v = _min_var(a, b)
+    top = max(_deg_in(a, v), _deg_in(b, v))
+    xi = 2 * min(max(map(abs, a.values())), max(map(abs, b.values()))) + 29
+    for _ in range(HEU_GCD_MAX):
+        pows = [1]
+        for _e in range(top):
+            pows.append(pows[-1] * xi)
+        ea = _evaluate(a, v, pows)
+        eb = _evaluate(b, v, pows)
+        if ea and eb:
+            # the exact gcd of the images, content included: a proper
+            # divisor here would still pass the certificate below
+            gi, qai, qbi = _cofactors(ea, eb)
+            h = _interpolate(gi, v, xi)
+            k = poly_int_content(h)
+            if k != 1:
+                # an integer factor common to the images only (a and b are
+                # primitive): move it from h to the cofactor images
+                h = _int_divide(h, k)
+                qai = _int_scale(qai, k)
+                qbi = _int_scale(qbi, k)
+            qa = _interpolate(qai, v, xi)
+            qb = _interpolate(qbi, v, xi)
+            if _is_product(h, qa, a) and _is_product(h, qb, b):
+                return _int_scale(h, c), _int_scale(qa, ka), _int_scale(qb, kb)
+            try:
+                qa = poly_div_exact(a, h)
+                qb = poly_div_exact(b, h)
+            except ExactDivisionError:
+                pass
+            else:
+                return _int_scale(h, c), _int_scale(qa, ka), _int_scale(qb, kb)
+        xi = 73794 * xi * math.isqrt(math.isqrt(xi)) // 27011
+    h = _prs_gcd(a, b)
+    qa = poly_div_exact(a, h)
+    qb = poly_div_exact(b, h)
+    return _int_scale(h, c), _int_scale(qa, ka), _int_scale(qb, kb)
+
+
+def poly_cofactors(a, b):
+    """(g, a/g, b/g) with g = poly_gcd(a, b).
+
+    g has a positive graded-lex leading coefficient and the cofactors carry
+    the signs of a and b.  A zero input has cofactor 0; if both are zero,
+    all three are 0.
+    """
+    if not a or not b:
+        p = a or b
+        if not p:
+            return {}, {}, {}
+        s = 1 if p[poly_lead(p)] > 0 else -1
+        g, unit = poly_scale(p, s), {poly_const_mono(len(next(iter(p)))): s}
+        return (g, {}, unit) if not a else (g, unit, {})
+    g, qa, qb = _cofactors(a, b)
+    if g[poly_lead(g)] < 0:
+        return {m: -c for m, c in g.items()}, {m: -c for m, c in qa.items()}, {m: -c for m, c in qb.items()}
+    return g, qa, qb
+
+
+def poly_gcd(a, b):
+    """gcd in Z[x1..xn], sign-normalized (positive graded-lex leading coeff).
+
+    Includes the integer content: poly_gcd(6x, 4x^2) = 2x.
+    """
+    return poly_cofactors(a, b)[0]
+
+
 def poly_lcm(a, b):
     if not a or not b:
         return {}
-    return poly_sign_normalize(poly_div_exact(poly_mul(a, b), poly_gcd(a, b)))
+    _, _, qb = poly_cofactors(a, b)
+    return poly_sign_normalize(poly_mul(a, qb))
 
 
 def monomials_upto(n, d):

@@ -26,8 +26,7 @@ from .errors import (
 )
 from .kernel import poly_add, poly_diff, poly_eval, poly_mul, poly_neg, poly_sub
 from .polyops import (
-    poly_div_exact,
-    poly_gcd,
+    poly_cofactors,
     poly_is_const,
     poly_lead,
     poly_lead_coeff,
@@ -81,10 +80,7 @@ class ScalarField:
         if not num:
             den = _const_poly(n, 1)
         elif not _is_one(den):
-            g = poly_gcd(num, den)
-            if not _is_one(g):
-                num = poly_div_exact(num, g)
-                den = poly_div_exact(den, g)
+            _, num, den = poly_cofactors(num, den)
             if den[poly_lead(den)] < 0:
                 num = poly_neg(num)
                 den = poly_neg(den)
@@ -193,21 +189,14 @@ class ScalarField:
         if d1 == d2:
             num, g, e = combine(n1, n2), d1, None
         else:
-            g = poly_gcd(d1, d2)
-            if _is_one(g):
-                e1, e2 = d1, d2
-            else:
-                e1, e2 = poly_div_exact(d1, g), poly_div_exact(d2, g)
+            g, e1, e2 = poly_cofactors(d1, d2)
             num = combine(poly_mul(n1, e2), poly_mul(n2, e1))
             e = poly_mul(e1, e2)
         if not num:
             return ScalarField.zero(self.chart)
         if _is_one(g):
             return _field(self.chart, num, g if e is None else e)
-        g2 = poly_gcd(num, g)
-        if not _is_one(g2):
-            num = poly_div_exact(num, g2)
-            g = poly_div_exact(g, g2)
+        _, num, g = poly_cofactors(num, g)
         return _field(self.chart, num, g if e is None else poly_mul(g, e))
 
     def __add__(self, other):
@@ -250,15 +239,9 @@ class ScalarField:
         # the cancelled parts is coprime with a positive leading
         # denominator coefficient, and needs no further gcd.
         if not _is_one(b_den):
-            g = poly_gcd(a_num, b_den)
-            if not _is_one(g):
-                a_num = poly_div_exact(a_num, g)
-                b_den = poly_div_exact(b_den, g)
+            _, a_num, b_den = poly_cofactors(a_num, b_den)
         if not _is_one(a_den):
-            g = poly_gcd(b_num, a_den)
-            if not _is_one(g):
-                b_num = poly_div_exact(b_num, g)
-                a_den = poly_div_exact(a_den, g)
+            _, b_num, a_den = poly_cofactors(b_num, a_den)
         return _field(self.chart, poly_mul(a_num, b_num), poly_mul(a_den, b_den))
 
     __rmul__ = __mul__
