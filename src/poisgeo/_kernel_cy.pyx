@@ -119,41 +119,25 @@ def poly_diff(dict a, Py_ssize_t i):
 
 
 def poly_eval(dict a, tuple point):
-    """Integer accumulation over prod q_i^d_i; see the pure twin."""
-    cdef Py_ssize_t i, e, d, n = len(point)
+    cdef Py_ssize_t i, n = len(point)
     cdef tuple m
-    cdef list deg, tables, w
-    if not a:
-        return Fraction(0)
-    deg = [0] * n
-    for m in a:
-        for i in range(n):
-            if m[i] > deg[i]:
-                deg[i] = m[i]
-    den = 1
-    tables = []
+    cdef list cache = [None] * n
     for i in range(n):
-        d = deg[i]
-        if not d:
-            continue
-        p = point[i].numerator
-        q = point[i].denominator
-        w = [1] * (d + 1)
-        for e in range(1, d + 1):
-            w[e] = w[e - 1] * p
-        if q != 1:
-            qe = 1
-            for e in range(d - 1, -1, -1):
-                qe = qe * q
-                w[e] = w[e] * qe
-            den = den * qe
-        tables.append((i, w))
-    total = 0
+        cache[i] = {0: Fraction(1)}
+    total = Fraction(0)
     for m, c in a.items():
-        for i, w in tables:
-            c = c * w[<Py_ssize_t> m[i]]
-        total = total + c
-    return Fraction(total, den)
+        term = Fraction(c)
+        for i in range(n):
+            e = m[i]
+            if e:
+                pows = cache[i]
+                p = pows.get(e)
+                if p is None:
+                    p = point[i] ** e
+                    pows[e] = p
+                term = term * p
+        total = total + term
+    return total
 
 
 def grlex_key(tuple m):

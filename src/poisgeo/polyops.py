@@ -15,10 +15,9 @@ larger choices of xi fail to certify, the subresultant polynomial
 remainder sequence (``_prs_gcd``) computes the gcd instead.
 """
 
-import heapq
 import math
 
-from .kernel import grlex_key, poly_lead, poly_mul, poly_scale, poly_sub
+from .kernel import grlex_key, poly_lead, poly_mul, poly_scale, poly_sub, poly_term_mul
 
 
 class ExactDivisionError(ArithmeticError):
@@ -71,51 +70,20 @@ def poly_div_exact(a, b):
                 raise ExactDivisionError("coefficient not divisible")
             out[m] = q
         return out
-    # The remainder's graded-lex leading monomial comes off a max-heap with
-    # lazy deletion instead of a scan of the whole remainder per step.  Heap
-    # keys encode (total degree, exponents) as digits of one integer in a
-    # base above a's total degree, which bounds every remainder monomial;
-    # the code is additive, so x^mq * x^mb has key(mq) + key(mb).
-    base = max(sum(m) for m in a) + 1
-
-    def key(m):
-        k = sum(m)
-        for e in m:
-            k = k * base + e
-        return k
-
     lb = poly_lead(b)
     cb = b[lb]
-    kb = key(lb)
-    rest = [(m, c, key(m)) for m, c in b.items() if m != lb]
     rem = dict(a)
-    heap = [(-key(m), m) for m in rem]
-    heapq.heapify(heap)
     quot = {}
     while rem:
-        nk, la = heapq.heappop(heap)
-        if la not in rem:
-            continue
+        la = poly_lead(rem)
         mq = tuple(x - y for x, y in zip(la, lb))
         if any(e < 0 for e in mq):
             raise ExactDivisionError("monomial not divisible")
-        cq, r = divmod(rem.pop(la), cb)
+        cq, r = divmod(rem[la], cb)
         if r:
             raise ExactDivisionError("leading coefficient not divisible")
         quot[mq] = cq
-        kq = -nk - kb
-        for mb, c, k in rest:
-            m = tuple(x + y for x, y in zip(mb, mq))
-            s = rem.get(m)
-            if s is None:
-                rem[m] = -cq * c
-                heapq.heappush(heap, (-(kq + k), m))
-            else:
-                s -= cq * c
-                if s:
-                    rem[m] = s
-                else:
-                    del rem[m]
+        rem = poly_sub(rem, poly_term_mul(b, mq, cq))
     return quot
 
 
@@ -259,10 +227,6 @@ def _int_divide(a, k):
     return a if k == 1 else {m: c // k for m, c in a.items()}
 
 
-def _int_scale(a, k):
-    return a if k == 1 else {m: c * k for m, c in a.items()}
-
-
 def _monomial_cofactors(a, b):
     """Cofactors when a or b is a single term (a constant included).
 
@@ -355,24 +319,24 @@ def _cofactors(a, b):
                 # an integer factor common to the images only (a and b are
                 # primitive): move it from h to the cofactor images
                 h = _int_divide(h, k)
-                qai = _int_scale(qai, k)
-                qbi = _int_scale(qbi, k)
+                qai = poly_scale(qai, k)
+                qbi = poly_scale(qbi, k)
             qa = _interpolate(qai, v, xi)
             qb = _interpolate(qbi, v, xi)
             if _is_product(h, qa, a) and _is_product(h, qb, b):
-                return _int_scale(h, c), _int_scale(qa, ka), _int_scale(qb, kb)
+                return poly_scale(h, c), poly_scale(qa, ka), poly_scale(qb, kb)
             try:
                 qa = poly_div_exact(a, h)
                 qb = poly_div_exact(b, h)
             except ExactDivisionError:
                 pass
             else:
-                return _int_scale(h, c), _int_scale(qa, ka), _int_scale(qb, kb)
+                return poly_scale(h, c), poly_scale(qa, ka), poly_scale(qb, kb)
         xi = 73794 * xi * math.isqrt(math.isqrt(xi)) // 27011
     h = _prs_gcd(a, b)
     qa = poly_div_exact(a, h)
     qb = poly_div_exact(b, h)
-    return _int_scale(h, c), _int_scale(qa, ka), _int_scale(qb, kb)
+    return poly_scale(h, c), poly_scale(qa, ka), poly_scale(qb, kb)
 
 
 def poly_cofactors(a, b):
