@@ -515,16 +515,27 @@ def cmd_cohomology(args):
         f"[kernel {result['kernel_dim']}, image {result['image_rank']}, "
         f"preimage degree {result['preimage_degree']}]"
     ]
+    thm31_error = None
     if args.thm31:
-        split = split_cotangent(spec.pi, spec.cometric, spec.declared_rank, spec.samples)
-        rep = thm31_cochain_report(spec.pi, spec.cometric, split, args.p, args.degree)
-        extra["thm31"] = rep
-        lines.append(
-            "degree-splitting report: "
-            f"basic_forms_closed={rep['basic_forms_closed']} "
-            f"pushforwards_closed={rep['pushforwards_closed']} "
-            f"dimension_match={rep['dimension_match']}"
-        )
+        try:
+            split = split_cotangent(spec.pi, spec.cometric, spec.declared_rank, spec.samples)
+            rep = thm31_cochain_report(spec.pi, spec.cometric, split, args.p, args.degree)
+        except _INPUT_ERRORS:
+            raise
+        except PoisgeoError as exc:
+            if not args.json:
+                raise
+            # a splitting that fails is a verdict (exit 1), so the report still prints
+            thm31_error = f"{type(exc).__name__}: {exc}"
+            extra["thm31"] = {"error": thm31_error}
+        else:
+            extra["thm31"] = rep
+            lines.append(
+                "degree-splitting report: "
+                f"basic_forms_closed={rep['basic_forms_closed']} "
+                f"pushforwards_closed={rep['pushforwards_closed']} "
+                f"dimension_match={rep['dimension_match']}"
+            )
     if args.json:
         report = make_report(spec, [], args.spec, digest, started, extra=extra)
         del report["checks"]
@@ -533,6 +544,9 @@ def cmd_cohomology(args):
         print(f"spec: {spec.name}")
         for line in lines:
             print(line)
+    if thm31_error is not None:
+        print(thm31_error, file=sys.stderr)
+        return 1
     if args.thm31:
         rep = extra["thm31"]
         verdicts = (
@@ -598,6 +612,15 @@ def build_parser():
     return parser
 
 
+# bad input: exit 2 with one line and no report
+_INPUT_ERRORS = (
+    SpecFileError,
+    ExprSyntaxError,
+    NonPolynomialBivector,
+    InvalidArgument,
+    SingularMetric,
+)
+
 _parser = None
 
 
@@ -612,13 +635,7 @@ def main(argv=None):
     command = globals()[f"cmd_{args.command}"]
     try:
         return command(args)
-    except (
-        SpecFileError,
-        ExprSyntaxError,
-        NonPolynomialBivector,
-        InvalidArgument,
-        SingularMetric,
-    ) as exc:
+    except _INPUT_ERRORS as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return 2
     except FileNotFoundError as exc:

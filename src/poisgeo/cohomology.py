@@ -183,22 +183,22 @@ def truncated_betti(pi, p, d, with_representatives=False):
 
     The image is taken from the (p-1)-window whose d_pi lands exactly inside
     coefficient degree d, so kernel and image live in the same space.
-    Returns a report dict with the window bookkeeping.
+    Returns a report dict with the window bookkeeping.  The kernel is only
+    counted (columns minus rank) unless its representatives are asked for.
     """
     chart = pi.chart
-    n = chart.dim
     shift = degree_shift(pi)
-    if p == n:
+    if p == chart.dim:
+        # top degree: d_pi lands in the zero space, so every column is a cocycle
         basis = GradedBasis(chart, p, d)
-        kernel_dim = len(basis)
-        kernel_cols = [
-            [1 if i == k else 0 for i in range(len(basis))] for k in range(len(basis))
-        ]
-        out_basis = basis
+        mat = RationalMatrix.zero(0, len(basis))
     else:
-        mat, basis, out_basis = assemble_dpi_matrix(pi, p, d, max(d + shift, 0))
+        mat, basis, _ = assemble_dpi_matrix(pi, p, d, max(d + shift, 0))
+    if with_representatives:
         kernel_cols = mat.kernel_basis()
         kernel_dim = len(kernel_cols)
+    else:
+        kernel_dim = mat.cols - mat.rank()
     d_pre = d - shift
     if p == 0 or d_pre < 0:
         image_rank = 0
@@ -483,7 +483,7 @@ def leafwise_truncated_betti(split, p, d, structure=None):
         kernel_dim = len(LeafBasis(split, p, d))
     else:
         mat, _ = _leafwise_matrix(split, structure, p, d, max(d + shift, 0))
-        kernel_dim = len(mat.kernel_basis())
+        kernel_dim = mat.cols - mat.rank()
     d_pre = d - shift
     if p == 0 or d_pre < 0:
         image_rank = 0
@@ -522,12 +522,10 @@ def thm31_cochain_report(pi, g, split, p, d):
     shift = leafwise_degree_shift(split, structure)
     if p == split.rank:
         source = LeafBasis(split, p, d)
-        kernel_cols = [
-            [1 if i == k else 0 for i in range(len(source))] for k in range(len(source))
-        ]
+        mat = RationalMatrix.zero(0, len(source))
     else:
         mat, source = _leafwise_matrix(split, structure, p, d, max(d + shift, 0))
-        kernel_cols = mat.kernel_basis()
+    kernel_cols = mat.kernel_basis()
     pushed_closed = []
     for vec in kernel_cols:
         omega = source.from_coordinates(vec)

@@ -136,10 +136,16 @@ class ScalarField:
         return Fraction(num, next(iter(self._den.values())))
 
     def poly_terms(self):
-        """{exponent tuple: Fraction} for a polynomial field."""
+        """{exponent tuple: coefficient} for a polynomial field.
+
+        The coefficients are ``int`` when the field has integer
+        coefficients (constant denominator 1), and ``Fraction`` otherwise.
+        """
         if not self.is_polynomial:
             raise PoisgeoError(f"{self} is not polynomial")
         d = next(iter(self._den.values()))
+        if d == 1:
+            return dict(self._num)
         return {m: Fraction(c, d) for m, c in self._num.items()}
 
     def total_degree(self):
