@@ -7,9 +7,15 @@ indices raise SpecFileError (the CLI maps those to exit code 2), while parse
 errors inside expressions surface as ExprSyntaxError with offsets.
 """
 
-import hashlib
 import json
 from fractions import Fraction
+
+try:
+    # CPython's built-in SHA-256: the digest hashlib gives, without loading
+    # OpenSSL, which adds about 3.5 MB to every process that reads a spec
+    from _sha256 import sha256
+except ImportError:
+    from hashlib import sha256
 
 from .chart import Chart
 from .connection import CoMetric
@@ -236,7 +242,7 @@ def load_spec_file(path):
     """Read a JSON spec file; returns (kind, spec, sha256-hex)."""
     with open(path, "rb") as fh:
         raw = fh.read()
-    digest = hashlib.sha256(raw).hexdigest()
+    digest = sha256(raw).hexdigest()
     try:
         data = json.loads(raw.decode("utf-8"))
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:

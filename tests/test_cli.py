@@ -287,6 +287,31 @@ class TestCohomology:
         assert rep["thm31"]["leaf_cocycle_count"] == 0
         assert rep["thm31"]["pushforwards_closed"] is True
 
+    def _thm31_error(self, capsys, name, p, error_type):
+        """--thm31 --json on a spec whose splitting report raises: exit 1, the
+        error line on stderr, and a report with the plain Betti block and the
+        error; text mode prints no report and the same line."""
+        argv = ["cohomology", str(corpus_path(name)), "--p", str(p), "--degree", "1"]
+        _, plain, _ = run_cli(capsys, *argv, "--json")
+        code, out, err = run_cli(capsys, *argv, "--thm31", "--json")
+        assert code == 1
+        assert err.startswith(f"{error_type}: ") and err.count("\n") == 1, err
+        rep = json.loads(out)
+        assert rep["betti"] == json.loads(plain)["betti"]
+        assert rep["thm31"] == {"error": err.strip()}
+        assert run_cli(capsys, *argv, "--thm31") == (1, "", err)
+
+    def test_thm31_json_when_the_rank_drops(self, capsys):
+        """so(3)* has rank 0 at the origin sample, so no splitting exists."""
+        for p in (0, 1, 2, 3):
+            self._thm31_error(capsys, "so3_star", p, "RankNotConstant")
+
+    def test_thm31_json_when_pi_is_not_poisson(self, capsys):
+        """The Jacobi-failing bivector: its leaf frame is not involutive, and
+        at p = 1 the first kernel form is not basic."""
+        for p, error_type in ((0, "NotTangent"), (1, "NotBasic"), (2, "NotTangent")):
+            self._thm31_error(capsys, "nonpoisson_jacobi", p, error_type)
+
 
 class TestSamplesOverride:
     def test_override_changes_verdict(self, capsys, tmp_path):

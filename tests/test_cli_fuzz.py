@@ -5,8 +5,9 @@ For any spec on a 1-3 dimensional chart, ``check`` and ``report`` with
 whenever the exit code is not 2.  The same holds for every manifold
 subcommand under ``--samples`` overrides (good points, poles, rank drops at
 the origin, wrong lengths, ``[]``, junk entries, a JSON object) and for
-``cohomology`` ``--p``/``--degree`` in and out of range.  An entry over the
-parser's size caps exits 2 with one line, well within a second.
+``cohomology`` ``--p``/``--degree`` in and out of range, with and without
+``--thm31``.  An entry over the parser's size caps exits 2 with one line,
+well within a second.
 """
 
 import contextlib
@@ -138,6 +139,8 @@ def invocations(draw):
     if command == "cohomology":
         args += ["--p", str(draw(st.integers(-1, n + 1)))]
         args += ["--degree", str(draw(st.integers(-1, 2)))]
+        if draw(st.booleans()):
+            args.append("--thm31")
     samples = draw(st.none() | sample_overrides(n))
     return spec, command, args, samples
 
@@ -163,6 +166,34 @@ def test_cli_arguments(invocation):
         assert isinstance(json.loads(out), dict), (argv, spec, samples, out, err)
     else:
         assert out == "" and err.startswith("input error:"), (spec, samples, err)
+
+
+@given(specs(), st.data())
+@settings(max_examples=40, deadline=None)
+def test_cohomology_thm31_json_reports(spec, data):
+    """In-range windows with the splitting report: a report on exit 0 or 1,
+    and a splitting that raises is named in it and on stderr."""
+    n = len(spec["coordinates"])
+    p = data.draw(st.integers(0, n))
+    degree = data.draw(st.integers(0, 2))
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "spec.json")
+        with open(path, "w") as fh:
+            json.dump(spec, fh)
+        code, out, err = _run(
+            ["cohomology", path, "--p", str(p), "--degree", str(degree), "--thm31", "--json"]
+        )
+    assert code in (0, 1, 2), (spec, code, err)
+    assert "Traceback" not in err, err
+    if code == 2:
+        assert out == "" and err.startswith("input error:"), (spec, err)
+        return
+    report = json.loads(out)
+    assert report["betti"]["p"] == p, (spec, report)
+    if err:
+        assert code == 1 and report["thm31"] == {"error": err.strip()}, (spec, err)
+    else:
+        assert "error" not in report["thm31"], (spec, report)
 
 
 BASES = ["{a}", "1+{a}", "1+{a}+{b}", "1-{a}*{b}", "2", "3*{a}^2", "1/(1+{a})", "(1+{a})/{b}"]
