@@ -515,7 +515,6 @@ def cmd_cohomology(args):
         f"[kernel {result['kernel_dim']}, image {result['image_rank']}, "
         f"preimage degree {result['preimage_degree']}]"
     ]
-    thm31_error = None
     if args.thm31:
         try:
             split = split_cotangent(spec.pi, spec.cometric, spec.declared_rank, spec.samples)
@@ -526,16 +525,15 @@ def cmd_cohomology(args):
             if not args.json:
                 raise
             # a splitting that fails is a verdict (exit 1), so the report still prints
-            thm31_error = f"{type(exc).__name__}: {exc}"
-            extra["thm31"] = {"error": thm31_error}
+            rep = {"error": f"{type(exc).__name__}: {exc}"}
         else:
-            extra["thm31"] = rep
             lines.append(
                 "degree-splitting report: "
                 f"basic_forms_closed={rep['basic_forms_closed']} "
                 f"pushforwards_closed={rep['pushforwards_closed']} "
                 f"dimension_match={rep['dimension_match']}"
             )
+        extra["thm31"] = rep
     if args.json:
         report = make_report(spec, [], args.spec, digest, started, extra=extra)
         del report["checks"]
@@ -544,11 +542,10 @@ def cmd_cohomology(args):
         print(f"spec: {spec.name}")
         for line in lines:
             print(line)
-    if thm31_error is not None:
-        print(thm31_error, file=sys.stderr)
-        return 1
     if args.thm31:
-        rep = extra["thm31"]
+        if "error" in rep:
+            print(rep["error"], file=sys.stderr)
+            return 1
         verdicts = (
             rep["basic_forms_closed"],
             rep["pushforwards_closed"],
