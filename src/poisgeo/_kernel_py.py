@@ -8,6 +8,7 @@ the same contract; ``poisgeo.kernel`` picks one at import time.
 """
 
 from fractions import Fraction
+from operator import add
 
 
 def poly_add(a, b):
@@ -64,7 +65,7 @@ def poly_mul(a, b):
     out = {}
     for ma, ca in a.items():
         for mb, cb in b.items():
-            m = tuple(x + y for x, y in zip(ma, mb))
+            m = tuple(map(add, ma, mb))
             s = out.get(m)
             if s is None:
                 out[m] = ca * cb
@@ -81,7 +82,7 @@ def poly_term_mul(a, mono, coef):
     """a * (coef * x^mono); coef must be nonzero."""
     if not a:
         return {}
-    return {tuple(x + y for x, y in zip(m, mono)): c * coef for m, c in a.items()}
+    return {tuple(map(add, m, mono)): c * coef for m, c in a.items()}
 
 
 def poly_diff(a, i):

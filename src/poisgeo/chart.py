@@ -1,21 +1,32 @@
 """Coordinate charts and exact rational points."""
 
 import re
-from dataclasses import dataclass
 from fractions import Fraction
+from itertools import combinations
 
 from .errors import PoisgeoError
 
 _NAME_RE = re.compile(r"[a-zA-Z][a-zA-Z0-9_]*\Z")
 
 
-@dataclass(frozen=True)
 class Chart:
-    """An ordered tuple of coordinate names; everything lives over one of these."""
+    """An ordered tuple of coordinate names; everything lives over one of these.
 
-    names: tuple
+    A chart is immutable and compares (and hashes) by its names.  It also
+    holds the constants that every field and tensor on it shares:
+    ``zero_field`` and ``one_field``, the constant-1 polynomial
+    ``one_poly``, and per degree k in 0..dim + 1 the increasing index tuples
+    ``increasing[k]`` together with their set ``increasing_set[k]``.
+    """
+
+    __slots__ = (
+        "names", "dim", "_hash", "one_poly", "zero_field", "one_field",
+        "increasing", "increasing_set",
+    )
 
     def __init__(self, names):
+        from .scalar import _field  # scalar imports this module
+
         names = tuple(names)
         if not names:
             raise PoisgeoError("chart needs at least one coordinate")
@@ -24,11 +35,37 @@ class Chart:
         for nm in names:
             if not _NAME_RE.match(nm):
                 raise PoisgeoError(f"bad coordinate name {nm!r}")
-        object.__setattr__(self, "names", names)
+        n = len(names)
+        one = {(0,) * n: 1}
+        increasing = tuple(tuple(combinations(range(n), k)) for k in range(n + 2))
+        init = object.__setattr__
+        init(self, "names", names)
+        init(self, "dim", n)
+        init(self, "_hash", hash((names,)))
+        init(self, "one_poly", one)
+        init(self, "zero_field", _field(self, {}, one))
+        init(self, "one_field", _field(self, one, one))
+        init(self, "increasing", increasing)
+        init(self, "increasing_set", tuple(frozenset(t) for t in increasing))
 
-    @property
-    def dim(self):
-        return len(self.names)
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r} of an immutable Chart")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r} of an immutable Chart")
+
+    def __reduce__(self):
+        return Chart, (self.names,)
+
+    def __eq__(self, other):
+        if self is other:
+            return True
+        if type(other) is not Chart:
+            return NotImplemented
+        return self.names == other.names
+
+    def __hash__(self):
+        return self._hash
 
     def index(self, name):
         try:
@@ -45,7 +82,7 @@ def as_point(chart, coords):
 
     Accepts ints, Fractions, and 'p/q' strings.
     """
-    pt = tuple(Fraction(c) for c in coords)
+    pt = tuple(c if type(c) is Fraction else Fraction(c) for c in coords)
     if len(pt) != chart.dim:
         raise PoisgeoError(
             f"point has {len(pt)} coordinates, chart {chart} has {chart.dim}"

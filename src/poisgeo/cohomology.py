@@ -69,7 +69,7 @@ class GradedBasis:
 
     def element_pvector(self, k):
         mono, idx = self.elements[k]
-        f = ScalarField(self.chart, {mono: 1}, {(0,) * self.chart.dim: 1})
+        f = ScalarField(self.chart, {mono: 1}, self.chart.one_poly)
         return PVector(self.chart, self.degree, {idx: f})
 
     def coordinates_of(self, Q):
@@ -117,10 +117,12 @@ class GradedBasis:
 
 
 def degree_shift(pi):
-    """Worst-case increase in coefficient degree under d_pi."""
-    if not pi.is_polynomial():
-        raise NonPolynomialBivector("d_pi windows need polynomial bivector entries")
-    return pi.max_entry_degree() - 1
+    """Worst-case increase in coefficient degree under d_pi, cached on pi."""
+    if pi._degree_shift is None:
+        if not pi.is_polynomial():
+            raise NonPolynomialBivector("d_pi windows need polynomial bivector entries")
+        pi._degree_shift = pi.max_entry_degree() - 1
+    return pi._degree_shift
 
 
 def _terms(Q):
@@ -434,7 +436,7 @@ class LeafBasis:
 
     def element(self, k):
         mono, idx = self.elements[k]
-        f = ScalarField(self.split.chart, {mono: 1}, {(0,) * self.split.chart.dim: 1})
+        f = ScalarField(self.split.chart, {mono: 1}, self.split.chart.one_poly)
         return LeafwiseForm(self.split, self.degree, {idx: f})
 
     def coordinates_of(self, omega):

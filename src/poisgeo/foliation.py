@@ -579,8 +579,9 @@ def invariance_report(pi, g, split, riemann_poisson):
 def casimir_monomials(pi, max_degree):
     """Monomials of total degree <= max_degree that are Casimir functions."""
     chart = pi.chart
-    one = {(0,) * chart.dim: 1}
-    monos = (ScalarField(chart, {m: 1}, one) for m in monomials_upto(chart.dim, max_degree))
+    monos = (
+        ScalarField(chart, {m: 1}, chart.one_poly) for m in monomials_upto(chart.dim, max_degree)
+    )
     return [f for f in monos if pi.is_casimir(f)]
 
 

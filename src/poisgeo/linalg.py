@@ -161,8 +161,8 @@ class FieldMatrix:
                 acc = zero
                 for j in range(pc + 1, self.cols):
                     if ech[r][j] and not vec[j].is_zero:
-                        acc = acc + ScalarField(chart, ech[r][j], {(0,) * chart.dim: 1}) * vec[j]
-                pivot = ScalarField(chart, ech[r][pc], {(0,) * chart.dim: 1})
+                        acc = acc + ScalarField(chart, ech[r][j], chart.one_poly) * vec[j]
+                pivot = ScalarField(chart, ech[r][pc], chart.one_poly)
                 vec[pc] = -acc / pivot
             basis.append(_normalize_vector(chart, vec))
         return basis
@@ -186,17 +186,16 @@ class FieldMatrix:
         if len(sys_pivots) < len(pivot_cols):
             return len(sys_pivots), None
         zero = ScalarField.zero(chart)
-        const_one = {(0,) * chart.dim: 1}
         out_cols = []
         for b in range(rhs.cols):
             vec = [zero] * self.cols
             for r in range(len(sys_pivots) - 1, -1, -1):
                 pc = sys_pivots[r]
-                acc = ScalarField(chart, ech[r][self.cols + b], const_one)
+                acc = ScalarField(chart, ech[r][self.cols + b], chart.one_poly)
                 for j in range(pc + 1, self.cols):
                     if ech[r][j] and not vec[j].is_zero:
-                        acc = acc - ScalarField(chart, ech[r][j], const_one) * vec[j]
-                vec[pc] = acc / ScalarField(chart, ech[r][pc], const_one)
+                        acc = acc - ScalarField(chart, ech[r][j], chart.one_poly) * vec[j]
+                vec[pc] = acc / ScalarField(chart, ech[r][pc], chart.one_poly)
             out_cols.append(vec)
         return len(sys_pivots), FieldMatrix(chart, list(zip(*out_cols)))
 
@@ -244,13 +243,12 @@ def _normalize_vector(chart, vec):
         if p:
             sign = 1 if p[poly_lead(p)] > 0 else -1
             break
-    const_one = {(0,) * chart.dim: 1}
     out = []
     for p in polys:
         q = poly_div_exact(p, g) if p else {}
         if sign < 0:
             q = {m: -c for m, c in q.items()}
-        out.append(ScalarField(chart, q, const_one))
+        out.append(ScalarField(chart, q, chart.one_poly))
     return out
 
 

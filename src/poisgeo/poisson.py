@@ -15,6 +15,7 @@ from .tensor import (
     OneForm,
     PVector,
     VectorField,
+    _alternating,
     exterior_d,
     interior_d,
     interior_vector,
@@ -25,7 +26,7 @@ from .tensor import (
 class Bivector:
     """Antisymmetric matrix of ScalarFields; entry(i, j) = pi(dx_i, dx_j)."""
 
-    __slots__ = ("chart", "matrix", "_koszul_table", "_sharp_table")
+    __slots__ = ("chart", "matrix", "_koszul_table", "_sharp_table", "_degree_shift")
 
     def __init__(self, chart, matrix):
         matrix = tuple(tuple(row) for row in matrix)
@@ -44,6 +45,7 @@ class Bivector:
         self.matrix = matrix
         self._koszul_table = None
         self._sharp_table = None
+        self._degree_shift = None
 
     @classmethod
     def from_upper(cls, chart, upper):
@@ -263,7 +265,7 @@ class Bivector:
         if p > n:
             raise PoisgeoError(f"d_pi of a degree-{p} multivector in dimension {n}")
         out = {}
-        for idx in combinations(range(n), p + 1):
+        for idx in chart.increasing[p + 1]:
             val = ScalarField.zero(chart)
             for jpos in range(p + 1):
                 rest = idx[:jpos] + idx[jpos + 1:]
@@ -283,12 +285,11 @@ class Bivector:
                         term = Q.contract_first(br, rest)
                         if not term.is_zero:
                             val = val + term if (apos + bpos) % 2 == 0 else val - term
-            if not val.is_zero:
-                out[idx] = val
-        return PVector(chart, p + 1, out)
+            out[idx] = val
+        return _alternating(PVector, chart, p + 1, out)
 
 
 def _check(pi, obj):
-    if obj.chart != pi.chart:
+    if obj.chart is not pi.chart and obj.chart != pi.chart:
         raise ChartMismatch("operand chart differs from the bivector chart")
 

@@ -16,6 +16,7 @@ remainder sequence (``_prs_gcd``) computes the gcd instead.
 """
 
 import math
+from operator import sub
 
 from .kernel import grlex_key, poly_lead, poly_mul, poly_scale, poly_sub, poly_term_mul
 
@@ -76,7 +77,7 @@ def poly_div_exact(a, b):
     quot = {}
     while rem:
         la = poly_lead(rem)
-        mq = tuple(x - y for x, y in zip(la, lb))
+        mq = tuple(map(sub, la, lb))
         if any(e < 0 for e in mq):
             raise ExactDivisionError("monomial not divisible")
         cq, r = divmod(rem[la], cb)
@@ -243,7 +244,7 @@ def _monomial_cofactors(a, b):
         return {low: g}, _int_divide(a, g), _int_divide(b, g)
 
     def quotient(p):
-        return {tuple(x - y for x, y in zip(m, low)): c // g for m, c in p.items()}
+        return {tuple(map(sub, m, low)): c // g for m, c in p.items()}
 
     return {low: g}, quotient(a), quotient(b)
 

@@ -123,8 +123,9 @@ def perpendicular_foliate_family(inp, ansatz_degree=2):
     orth = inp.orthogonal_frame()
     if not orth:
         return []
-    one = {(0,) * chart.dim: 1}
-    monos = [ScalarField(chart, {m: 1}, one) for m in monomials_upto(chart.dim, ansatz_degree)]
+    monos = [
+        ScalarField(chart, {m: 1}, chart.one_poly) for m in monomials_upto(chart.dim, ansatz_degree)
+    ]
     candidates = [m * w for m in monos for w in orth]
     ann = inp.annihilator_of_f()
     condition_fields = []

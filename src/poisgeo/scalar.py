@@ -33,13 +33,6 @@ from .polyops import (
     poly_sorted_terms,
 )
 
-_ONE = 1
-
-
-def _const_poly(n, c):
-    return {(0,) * n: c} if c else {}
-
-
 def _is_one(p):
     """True for the constant polynomial 1."""
     if len(p) != 1:
@@ -76,9 +69,8 @@ class ScalarField:
         """Build from raw polynomial dicts; canonicalizes. Prefer the classmethods."""
         if not den:
             raise DivisionByZeroField("zero denominator")
-        n = chart.dim
         if not num:
-            den = _const_poly(n, 1)
+            den = chart.one_poly
         elif not _is_one(den):
             _, num, den = poly_cofactors(num, den)
             if den[poly_lead(den)] < 0:
@@ -93,18 +85,21 @@ class ScalarField:
 
     @classmethod
     def zero(cls, chart):
-        return _field(chart, {}, _const_poly(chart.dim, 1))
+        return chart.zero_field
 
     @classmethod
     def one(cls, chart):
-        return cls.constant(chart, 1)
+        return chart.one_field
 
     @classmethod
     def constant(cls, chart, value):
         # a Fraction is already canonical: coprime parts, positive denominator
         q = Fraction(value)
-        n = chart.dim
-        return _field(chart, _const_poly(n, q.numerator), _const_poly(n, q.denominator))
+        if not q:
+            return chart.zero_field
+        c = (0,) * chart.dim
+        den = chart.one_poly if q.denominator == 1 else {c: q.denominator}
+        return _field(chart, {c: q.numerator}, den)
 
     @classmethod
     def coordinate(cls, chart, i):
@@ -112,7 +107,7 @@ class ScalarField:
         if not 0 <= i < n:
             raise IndexOutOfRange(f"coordinate index {i} outside 0..{n - 1}")
         mono = tuple(1 if j == i else 0 for j in range(n))
-        return cls(chart, {mono: 1}, _const_poly(n, 1))
+        return cls(chart, {mono: 1}, chart.one_poly)
 
     # -- inspection --------------------------------------------------------
 
@@ -176,8 +171,8 @@ class ScalarField:
     # -- arithmetic --------------------------------------------------------
 
     def _coerce(self, other):
-        if isinstance(other, ScalarField):
-            if other.chart != self.chart:
+        if type(other) is ScalarField:
+            if other.chart is not self.chart and other.chart != self.chart:
                 raise ChartMismatch(f"{self.chart} vs {other.chart}")
             return other
         if isinstance(other, (int, Fraction)):
@@ -283,7 +278,7 @@ class ScalarField:
         for _ in range(k - 1):
             rnum = poly_mul(rnum, num)
             rden = poly_mul(rden, den)
-        return _field(self.chart, rnum, rden if rnum else _const_poly(self.chart.dim, 1))
+        return _field(self.chart, rnum, rden if rnum else self.chart.one_poly)
 
     # -- calculus ----------------------------------------------------------
 

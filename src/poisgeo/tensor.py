@@ -5,8 +5,6 @@ forms and multivectors store one component per strictly increasing
 multi-index, with all sign bookkeeping done by permutation parity.
 """
 
-from itertools import combinations
-
 from .errors import (
     ChartMismatch,
     DegreeOverflow,
@@ -17,7 +15,7 @@ from .scalar import ScalarField
 
 
 def _same_chart(a, b):
-    if a.chart != b.chart:
+    if a.chart is not b.chart and a.chart != b.chart:
         raise ChartMismatch(f"{a.chart} vs {b.chart}")
 
 
@@ -64,20 +62,18 @@ class _Linear:
         if len(comps) != chart.dim:
             raise PoisgeoError(f"need {chart.dim} components, got {len(comps)}")
         for c in comps:
-            if c.chart != chart:
+            if c.chart is not chart and c.chart != chart:
                 raise ChartMismatch("component chart mismatch")
         self.chart = chart
         self.comps = comps
 
     @classmethod
     def zero(cls, chart):
-        z = ScalarField.zero(chart)
-        return cls(chart, (z,) * chart.dim)
+        return cls(chart, (chart.zero_field,) * chart.dim)
 
     @classmethod
     def basis(cls, chart, i):
-        z = ScalarField.zero(chart)
-        one = ScalarField.one(chart)
+        z, one = chart.zero_field, chart.one_field
         return cls(chart, tuple(one if j == i else z for j in range(chart.dim)))
 
     @property
@@ -158,6 +154,20 @@ class OneForm(_Linear):
         return self._display([f"d{nm}" for nm in self.chart.names])
 
 
+def _alternating(cls, chart, degree, components):
+    """A PForm/PVector from {increasing index tuple: ScalarField on chart}.
+
+    The trusted constructor of operator results, whose keys come from
+    ``_sort_sign``, from validated operands or from ``chart.increasing``: it
+    drops zero components and checks nothing else.
+    """
+    out = cls.__new__(cls)
+    out.chart = chart
+    out.degree = degree
+    out.comps = {k: v for k, v in components.items() if not v.is_zero}
+    return out
+
+
 class _Alternating:
     """Shared storage for PForm / PVector: components on increasing multi-indices.
 
@@ -165,23 +175,23 @@ class _Alternating:
     where a bivector on a 1-dimensional chart lives.
     """
 
-    __slots__ = ("chart", "degree", "comps", "_zero")
+    __slots__ = ("chart", "degree", "comps")
 
     def __init__(self, chart, degree, components):
         n = chart.dim
         if not 0 <= degree <= n + 1:
             raise DegreeOverflow(f"degree {degree} outside 0..{n + 1}")
-        idxs = list(combinations(range(n), degree))
-        z = ScalarField.zero(chart)
         comps = {}
         if isinstance(components, dict):
+            increasing = chart.increasing_set[degree]
             for idx, val in components.items():
                 idx = tuple(idx)
-                if idx not in set(idxs):
+                if idx not in increasing:
                     raise PoisgeoError(f"index {idx} is not increasing in range")
                 if not val.is_zero:
                     comps[idx] = val
         else:
+            idxs = chart.increasing[degree]
             vals = list(components)
             if len(vals) != len(idxs):
                 raise PoisgeoError("wrong component count")
@@ -189,12 +199,11 @@ class _Alternating:
                 if not val.is_zero:
                     comps[idx] = val
         for v in comps.values():
-            if v.chart != chart:
+            if v.chart is not chart and v.chart != chart:
                 raise ChartMismatch("component chart mismatch")
         self.chart = chart
         self.degree = degree
         self.comps = comps
-        self._zero = z
 
     @classmethod
     def zero(cls, chart, degree):
@@ -202,14 +211,15 @@ class _Alternating:
 
     def component(self, idx):
         """Component at a strictly increasing index tuple."""
-        return self.comps.get(tuple(idx), self._zero)
+        return self.comps.get(tuple(idx), self.chart.zero_field)
 
     def component_signed(self, idx):
         """Component at an arbitrary index tuple (0 on repeats)."""
         sign, key = _sort_sign(idx)
+        z = self.chart.zero_field
         if sign == 0:
-            return self._zero
-        c = self.comps.get(key, self._zero)
+            return z
+        c = self.comps.get(key, z)
         return c if sign == 1 else -c
 
     @property
@@ -226,20 +236,24 @@ class _Alternating:
         for k, v in other.comps.items():
             s = out.get(k)
             out[k] = v if s is None else s + v
-        return type(self)(self.chart, self.degree, out)
+        return _alternating(type(self), self.chart, self.degree, out)
 
     def __sub__(self, other):
         return self + (-other)
 
     def __neg__(self):
-        return type(self)(self.chart, self.degree, {k: -v for k, v in self.comps.items()})
+        return _alternating(
+            type(self), self.chart, self.degree, {k: -v for k, v in self.comps.items()}
+        )
 
     def __mul__(self, f):
         if isinstance(f, int):
             f = ScalarField.constant(self.chart, f)
         if not isinstance(f, ScalarField):
             return NotImplemented
-        return type(self)(self.chart, self.degree, {k: f * v for k, v in self.comps.items()})
+        return _alternating(
+            type(self), self.chart, self.degree, {k: f * v for k, v in self.comps.items()}
+        )
 
     __rmul__ = __mul__
 
@@ -272,7 +286,7 @@ class _Alternating:
                 term = ca * cb if sign == 1 else -(ca * cb)
                 s = out.get(key)
                 out[key] = term if s is None else s + term
-        return type(self)(self.chart, p + q, out)
+        return _alternating(type(self), self.chart, p + q, out)
 
     __xor__ = wedge
 
@@ -294,7 +308,7 @@ class _Alternating:
         """
         sign, key = _sort_sign(rest_indices)
         if sign == 0:
-            return self._zero
+            return self.chart.zero_field
         out = ScalarField.zero(self.chart)
         for m, cm in enumerate(cov.comps):
             if cm.is_zero:
@@ -318,12 +332,12 @@ class _Alternating:
                 term = w * c if t % 2 == 0 else -(w * c)
                 s = out.get(key)
                 out[key] = term if s is None else s + term
-        return type(self)(self.chart, self.degree - 1, out)
+        return _alternating(type(self), self.chart, self.degree - 1, out)
 
     def _repr_symbols(self, fmt):
         names = self.chart.names
         parts = []
-        for idx in combinations(range(self.chart.dim), self.degree):
+        for idx in self.chart.increasing[self.degree]:
             c = self.comps.get(idx)
             if c is None:
                 continue
@@ -413,7 +427,7 @@ def exterior_d(omega):
             term = dc if sign == 1 else -dc
             s = out.get(key)
             out[key] = term if s is None else s + term
-    return PForm(chart, omega.degree + 1, out)
+    return _alternating(PForm, chart, omega.degree + 1, out)
 
 
 def interior_d(X, omega):
@@ -464,10 +478,8 @@ def lie_derivative_bivector(X, B):
     n = chart.dim
     dX = [exterior_d(X.comps[i]).as_oneform() for i in range(n)]
     out = {}
-    for i, j in combinations(range(n), 2):
+    for i, j in chart.increasing[2]:
         val = X.apply_to(B.component((i, j)))
         val = val - B.contract_first(dX[i], (j,))
-        val = val + B.contract_first(dX[j], (i,))
-        if not val.is_zero:
-            out[(i, j)] = val
-    return PVector(chart, 2, out)
+        out[(i, j)] = val + B.contract_first(dX[j], (i,))
+    return _alternating(PVector, chart, 2, out)

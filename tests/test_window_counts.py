@@ -23,13 +23,16 @@ MAX_DEGREE = {2: 3, 3: 2, 4: 1}
 
 
 @st.composite
-def polynomial_fields(draw, n, den):
-    """num/den with num of total degree <= 2 and small integer coefficients."""
+def polynomial_fields(draw, n, den, even_constant=False):
+    """num/den with num of total degree <= 2 and small integer coefficients;
+    with ``even_constant`` the constant term of num is even."""
     num = {}
     for _ in range(draw(st.integers(0, 3))):
         mono = tuple(draw(st.lists(st.integers(0, 2), min_size=n, max_size=n)))
         if sum(mono) <= 2:
             num[mono] = draw(st.integers(-3, 3))
+    if even_constant and (0,) * n in num:
+        num[(0,) * n] -= num[(0,) * n] % 2
     num = {m: c for m, c in num.items() if c}
     return ScalarField(CHARTS[n], num, {(0,) * n: den})
 
@@ -37,13 +40,18 @@ def polynomial_fields(draw, n, den):
 @st.composite
 def bivectors(draw):
     """(pi, integral): random polynomial bivectors on 2-4-D charts, mostly not
-    Poisson; the rational ones have a half-integer constant in pi_01."""
+    Poisson; the rational ones have a half-integer constant in pi_01.
+
+    That constant is c/2 + 1/2 for the constant term c of pi_01's numerator,
+    so c is drawn even: an odd c would make it an integer."""
     n = draw(st.sampled_from((2, 3, 4)))
     integral = draw(st.booleans())
     den = 1 if integral else 2
-    upper = {
-        (i, j): draw(polynomial_fields(n, den)) for i in range(n) for j in range(i + 1, n)
-    }
+    upper = {}
+    for i in range(n):
+        for j in range(i + 1, n):
+            even = not integral and (i, j) == (0, 1)
+            upper[(i, j)] = draw(polynomial_fields(n, den, even_constant=even))
     if not integral:
         upper[(0, 1)] = upper[(0, 1)] + Fraction(1, 2)
     return Bivector.from_upper(CHARTS[n], upper), integral
