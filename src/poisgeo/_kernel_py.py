@@ -3,8 +3,8 @@
 A polynomial in n variables is a dict mapping exponent tuples (length n) to
 nonzero int coefficients; {} is the zero polynomial.  These routines are the
 inner loop of every scalar-field operation, so they stay allocation-lean and
-free of any class machinery.  ``poisgeo._kernel_cy`` is a compiled twin with
-the same contract; ``poisgeo.kernel`` picks one at import time.
+free of any class machinery; the other modules import them through
+``poisgeo.kernel``.
 """
 
 from fractions import Fraction

@@ -6,6 +6,11 @@ rational matrix between such windows, and ranks come from sparse
 fraction-free elimination over Z.  Results are therefore exact integers,
 reproducible from the window parameters, and never claims about the smooth
 cohomology.
+
+d_pi and the leafwise d_F are one Chevalley-Eilenberg differential, so both
+complexes share one window basis (``GradedBasis`` and ``LeafBasis`` only say
+what a coordinate vector stands for), one Leibniz-rule assembler and one
+kernel-minus-image count (``WindowComplex``).
 """
 
 from itertools import combinations
@@ -29,48 +34,34 @@ from .kernel import grlex_key
 from .linalg import RationalMatrix
 from .polyops import monomials_upto
 from .scalar import ScalarField
-from .tensor import OneForm, PForm, PVector, interior_d, interior_form, interior_vector
+from .tensor import OneForm, PForm, PVector, _sort_sign, interior_d, interior_form, interior_vector
 
 
-def _monomials_upto(n, d):
-    """Exponent tuples of total degree <= d in graded-lex order."""
-    return sorted(monomials_upto(n, d), key=grlex_key)
+class _Window:
+    """Ordered basis of a window of polynomial cochains on a frame.
 
-
-class GradedBasis:
-    """Ordered basis of p-multivectors with polynomial coefficients <= degree d.
-
-    Elements are (monomial, multi-index) pairs ordered by graded-lex monomial
-    then multi-index; size C(n, p) * C(n + d, d).
+    Elements are (monomial, increasing frame tuple) pairs, ordered by
+    graded-lex monomial of total degree <= coeff_bound, then frame tuple;
+    size C(frame size, degree) * C(n + d, d).  ``_cochain`` wraps components.
     """
 
-    __slots__ = ("chart", "degree", "coeff_bound", "elements", "_index")
+    __slots__ = ("chart", "degree", "coeff_bound", "frames", "elements", "_index")
 
-    def __init__(self, chart, degree, coeff_bound):
-        n = chart.dim
-        if not 0 <= degree <= n:
-            raise PoisgeoError(f"degree {degree} outside 0..{n}")
-        if coeff_bound < 0:
-            raise PoisgeoError("coefficient degree bound must be >= 0")
-        idxs = list(combinations(range(n), degree))
+    def __init__(self, chart, frame_size, degree, coeff_bound):
         self.chart = chart
         self.degree = degree
         self.coeff_bound = coeff_bound
-        self.elements = [
-            (mono, idx) for mono in _monomials_upto(n, coeff_bound) for idx in idxs
-        ]
+        self.frames = list(combinations(range(frame_size), degree))
+        monos = sorted(monomials_upto(chart.dim, coeff_bound), key=grlex_key)
+        self.elements = [(mono, idx) for mono in monos for idx in self.frames]
         self._index = {elt: k for k, elt in enumerate(self.elements)}
 
     def __len__(self):
         return len(self.elements)
 
-    def index_of(self, mono, idx):
-        return self._index[(mono, idx)]
-
-    def element_pvector(self, k):
+    def element(self, k):
         mono, idx = self.elements[k]
-        f = ScalarField(self.chart, {mono: 1}, self.chart.one_poly)
-        return PVector(self.chart, self.degree, {idx: f})
+        return self._cochain({idx: ScalarField(self.chart, {mono: 1}, self.chart.one_poly)})
 
     def coordinates_of(self, Q):
         """Column of Q in this basis; raises WindowTooSmall on overflow."""
@@ -88,10 +79,10 @@ class GradedBasis:
                 raise NonPolynomialBivector(
                     "windowed cohomology needs polynomial coefficients"
                 )
-        return self.sparse_column(_terms(Q))
+        return self.sparse_column(_terms(Q.comps))
 
     def sparse_column(self, terms):
-        """{(monomial, multi-index): coefficient} as {index: coefficient}, zeros dropped."""
+        """{(monomial, frame tuple): coefficient} as {index: coefficient}, zeros dropped."""
         col = {}
         for key, coef in terms.items():
             if coef:
@@ -105,31 +96,56 @@ class GradedBasis:
         return col
 
     def from_coordinates(self, col):
+        chart = self.chart
         comps = {}
         for k, c in enumerate(col):
             if c:
                 mono, idx = self.elements[k]
-                f = ScalarField(
-                    self.chart, {mono: c.numerator}, {(0,) * self.chart.dim: c.denominator}
-                )
-                comps[idx] = comps.get(idx, ScalarField.zero(self.chart)) + f
+                f = ScalarField(chart, {mono: c.numerator}, {(0,) * chart.dim: c.denominator})
+                comps[idx] = comps.get(idx, ScalarField.zero(chart)) + f
+        return self._cochain(comps)
+
+
+class GradedBasis(_Window):
+    """Window of p-multivectors with polynomial coefficients <= degree d.
+
+    Degree dim + 1 is the zero space, the target of d_pi at the top degree.
+    """
+
+    __slots__ = ()
+
+    def __init__(self, chart, degree, coeff_bound):
+        n = chart.dim
+        if not 0 <= degree <= n + 1:
+            raise PoisgeoError(f"degree {degree} outside 0..{n + 1}")
+        if coeff_bound < 0:
+            raise PoisgeoError("coefficient degree bound must be >= 0")
+        super().__init__(chart, n, degree, coeff_bound)
+
+    def _cochain(self, comps):
         return PVector(self.chart, self.degree, comps)
 
-
-def degree_shift(pi):
-    """Worst-case increase in coefficient degree under d_pi, cached on pi."""
-    if pi._degree_shift is None:
-        if not pi.is_polynomial():
-            raise NonPolynomialBivector("d_pi windows need polynomial bivector entries")
-        pi._degree_shift = pi.max_entry_degree() - 1
-    return pi._degree_shift
+    element_pvector = _Window.element
 
 
-def _terms(Q):
-    """{(monomial, multi-index): coefficient} of a polynomial multivector."""
+class LeafBasis(_Window):
+    """Window of leafwise p-forms: monomial x increasing ts_frame tuple."""
+
+    __slots__ = ("split",)
+
+    def __init__(self, split, degree, coeff_bound):
+        self.split = split
+        super().__init__(split.chart, split.rank, degree, coeff_bound)
+
+    def _cochain(self, comps):
+        return LeafwiseForm(self.split, self.degree, comps)
+
+
+def _terms(comps):
+    """{(monomial, frame tuple): coefficient} of polynomial cochain components."""
     return {
         (mono, idx): coef
-        for idx, field in Q.comps.items()
+        for idx, field in comps.items()
         for mono, coef in field.poly_terms().items()
     }
 
@@ -141,91 +157,137 @@ def _add_shifted(acc, mono, factor, terms):
         acc[key] = acc.get(key, 0) + factor * coef
 
 
-def assemble_dpi_matrix(pi, p, d_in, d_out):
-    """Matrix of d_pi from the (p, d_in) window into the (p+1, d_out) window.
+def _wedge_frame(terms, idx):
+    """The terms of V ^ e_idx for a degree-1 cochain V given by its terms."""
+    out = {}
+    for (mono, (c,)), coef in terms.items():
+        sign, key = _sort_sign((c,) + idx)
+        if sign:
+            out[(mono, key)] = sign * coef
+    return out
 
-    Columns come from the Leibniz rule
 
-        d_pi(x^m dd_I) = x^m d_pi(dd_I) + sum_a m_a x^(m - e_a) d_pi(x_a) ^ dd_I,
+class WindowComplex:
+    """The windowed CE complex of a Lie algebroid with polynomial data.
 
-    which holds for every bivector, Poisson or not: in d_pi's formula the
-    anchor term is a derivation in the coefficient and the bracket term is
-    linear over functions.  So d_pi runs only on the C(n, p) constant frame
-    multivectors dd_I and on the n coordinates, and each column is a sum of
-    their terms shifted by monomials.
+    ``basis(p, bound)`` builds a window, ``d(p, comps)`` is the differential
+    on degree-p components and ``shift`` its worst-case increase in
+    coefficient degree.  The differentials of the coordinates are taken once.
     """
+
+    __slots__ = ("chart", "basis", "d", "shift", "d_coords")
+
+    def __init__(self, chart, basis, d, shift):
+        self.chart = chart
+        self.basis = basis
+        self.d = d
+        self.shift = shift
+        self.d_coords = [
+            _terms(d(0, {(): ScalarField.coordinate(chart, a)})) for a in range(chart.dim)
+        ]
+
+    def matrix(self, source, target):
+        """Matrix of d between two windows, its columns from the Leibniz rule
+
+            d(x^m e_I) = x^m d(e_I) + sum_a m_a x^(m - e_a) d(x_a) ^ e_I,
+
+        which holds for every anchor and bracket, Jacobi or not: the anchor
+        term is a derivation in the coefficient and the bracket term is
+        linear over functions.  So d runs only on the C(k, p) constant frame
+        cochains e_I and on the n coordinates.
+        """
+        one = self.chart.one_field
+        d_frames = {idx: _terms(self.d(source.degree, {idx: one})) for idx in source.frames}
+        leibniz = {idx: [_wedge_frame(t, idx) for t in self.d_coords] for idx in source.frames}
+        cols = []
+        for mono, idx in source.elements:
+            acc = {}
+            _add_shifted(acc, mono, 1, d_frames[idx])
+            for a, m_a in enumerate(mono):
+                if m_a:
+                    lower = mono[:a] + (m_a - 1,) + mono[a + 1:]
+                    _add_shifted(acc, lower, m_a, leibniz[idx][a])
+            cols.append(target.sparse_column(acc))
+        return RationalMatrix.from_columns(cols, len(target))
+
+    def assemble(self, p, d_in, d_out):
+        """(matrix, source, target) of d from the (p, d_in) window into (p+1, d_out)."""
+        if d_out < d_in + self.shift:
+            raise WindowTooSmall(
+                f"target degree bound {d_out} cannot hold the image (need {d_in + self.shift})"
+            )
+        source = self.basis(p, d_in)
+        target = self.basis(p + 1, d_out)
+        return self.matrix(source, target), source, target
+
+    def cocycle_matrix(self, basis):
+        """d out of a window into the window that holds its image."""
+        bound = max(basis.coeff_bound + self.shift, 0)
+        return self.matrix(basis, self.basis(basis.degree + 1, bound))
+
+    def betti(self, p, d, with_representatives=False):
+        """dim ker(d | degree p, coeffs <= d) minus the matching image rank.
+
+        The image is taken from the (p-1)-window whose d lands exactly inside
+        coefficient degree d, so kernel and image live in the same space.  The
+        kernel is only counted (columns minus rank) unless its representatives,
+        the cocycles completing the image, are asked for.
+        """
+        basis = self.basis(p, d)
+        mat = self.cocycle_matrix(basis)
+        if with_representatives:
+            kernel_cols = mat.kernel_basis()
+            kernel_dim = len(kernel_cols)
+        else:
+            kernel_dim = mat.cols - mat.rank()
+        d_pre = d - self.shift
+        if p == 0 or d_pre < 0:
+            image = RationalMatrix.zero(len(basis), 0)
+        else:
+            image = self.matrix(self.basis(p - 1, d_pre), basis)
+        image_rank = image.rank()
+        report = {
+            "p": p,
+            "window_degree": d,
+            "preimage_degree": None if p == 0 else d_pre,
+            "kernel_dim": kernel_dim,
+            "image_rank": image_rank,
+            "betti": kernel_dim - image_rank,
+        }
+        if with_representatives:
+            kept = image.extend_column_space(kernel_cols)
+            report["representatives"] = [basis.from_coordinates(v) for v in kept]
+        return report
+
+
+def degree_shift(pi):
+    """Worst-case increase in coefficient degree under d_pi, cached on pi."""
+    if pi._degree_shift is None:
+        if not pi.is_polynomial():
+            raise NonPolynomialBivector("d_pi windows need polynomial bivector entries")
+        pi._degree_shift = pi.max_entry_degree() - 1
+    return pi._degree_shift
+
+
+def _dpi_complex(pi):
+    """The windowed complex of d_pi, the cotangent Lie algebroid's differential."""
     chart = pi.chart
-    n = chart.dim
-    shift = degree_shift(pi)
-    if d_out < d_in + shift:
-        raise WindowTooSmall(
-            f"target degree bound {d_out} cannot hold the image (need {d_in + shift})"
-        )
-    source = GradedBasis(chart, p, d_in)
-    target = GradedBasis(chart, p + 1, d_out)
-    one = ScalarField.one(chart)
-    frames = {idx: PVector(chart, p, {idx: one}) for idx in combinations(range(n), p)}
-    d_coords = [pi.d_pi(ScalarField.coordinate(chart, a)) for a in range(n)]
-    d_frames = {idx: _terms(pi.d_pi(F)) for idx, F in frames.items()}
-    leibniz = {idx: [_terms(V.wedge(F)) for V in d_coords] for idx, F in frames.items()}
-    cols = []
-    for mono, idx in source.elements:
-        acc = {}
-        _add_shifted(acc, mono, 1, d_frames[idx])
-        for a, m_a in enumerate(mono):
-            if m_a:
-                lower = mono[:a] + (m_a - 1,) + mono[a + 1:]
-                _add_shifted(acc, lower, m_a, leibniz[idx][a])
-        cols.append(target.sparse_column(acc))
-    return RationalMatrix.from_columns(cols, len(target)), source, target
+    return WindowComplex(
+        chart,
+        lambda p, bound: GradedBasis(chart, p, bound),
+        lambda p, comps: pi.d_pi(PVector(chart, p, comps)).comps,
+        degree_shift(pi),
+    )
+
+
+def assemble_dpi_matrix(pi, p, d_in, d_out):
+    """(matrix, source, target) of d_pi from the (p, d_in) window into (p+1, d_out)."""
+    return _dpi_complex(pi).assemble(p, d_in, d_out)
 
 
 def truncated_betti(pi, p, d, with_representatives=False):
-    """dim ker(d_pi | degree p, coeffs <= d) minus the matching image rank.
-
-    The image is taken from the (p-1)-window whose d_pi lands exactly inside
-    coefficient degree d, so kernel and image live in the same space.
-    Returns a report dict with the window bookkeeping.  The kernel is only
-    counted (columns minus rank) unless its representatives are asked for.
-    """
-    chart = pi.chart
-    shift = degree_shift(pi)
-    if p == chart.dim:
-        # top degree: d_pi lands in the zero space, so every column is a cocycle
-        basis = GradedBasis(chart, p, d)
-        mat = RationalMatrix.zero(0, len(basis))
-    else:
-        mat, basis, _ = assemble_dpi_matrix(pi, p, d, max(d + shift, 0))
-    if with_representatives:
-        kernel_cols = mat.kernel_basis()
-        kernel_dim = len(kernel_cols)
-    else:
-        kernel_dim = mat.cols - mat.rank()
-    d_pre = d - shift
-    if p == 0 or d_pre < 0:
-        image_rank = 0
-        image_matrix = None
-    else:
-        image_matrix, _, _ = assemble_dpi_matrix(pi, p - 1, d_pre, d)
-        image_rank = image_matrix.rank()
-    report = {
-        "p": p,
-        "window_degree": d,
-        "preimage_degree": None if p == 0 else d_pre,
-        "kernel_dim": kernel_dim,
-        "image_rank": image_rank,
-        "betti": kernel_dim - image_rank,
-    }
-    if with_representatives:
-        report["representatives"] = _representatives(basis, kernel_cols, image_matrix)
-    return report
-
-
-def _representatives(basis, kernel_cols, image_matrix):
-    """Kernel vectors extending the image to a basis of the cocycles."""
-    if image_matrix is None:
-        image_matrix = RationalMatrix.zero(len(basis), 0)
-    return [basis.from_coordinates(v) for v in image_matrix.extend_column_space(kernel_cols)]
+    """The windowed dimension of H^p_pi, a report dict (``WindowComplex.betti``)."""
+    return _dpi_complex(pi).betti(p, d, with_representatives)
 
 
 def dpi_squared_matrix(pi, p, d):
@@ -413,92 +475,21 @@ def leafwise_degree_shift(split, structure):
     return max(tdeg - 1, cdeg)
 
 
-class LeafBasis:
-    """Windowed basis of leafwise p-forms: monomial x increasing frame tuple."""
-
-    __slots__ = ("split", "degree", "coeff_bound", "elements", "_index")
-
-    def __init__(self, split, degree, coeff_bound):
-        r = split.rank
-        idxs = list(combinations(range(r), degree))
-        self.split = split
-        self.degree = degree
-        self.coeff_bound = coeff_bound
-        self.elements = [
-            (mono, idx)
-            for mono in _monomials_upto(split.chart.dim, coeff_bound)
-            for idx in idxs
-        ]
-        self._index = {elt: k for k, elt in enumerate(self.elements)}
-
-    def __len__(self):
-        return len(self.elements)
-
-    def element(self, k):
-        mono, idx = self.elements[k]
-        f = ScalarField(self.split.chart, {mono: 1}, self.split.chart.one_poly)
-        return LeafwiseForm(self.split, self.degree, {idx: f})
-
-    def coordinates_of(self, omega):
-        col = [0] * len(self.elements)
-        for idx, field in omega.comps.items():
-            if not field.is_polynomial:
-                raise NonPolynomialBivector("leafwise window needs polynomial coefficients")
-            for mono, coef in field.poly_terms().items():
-                key = (mono, idx)
-                if key not in self._index:
-                    raise WindowTooSmall(
-                        f"leafwise coefficient degree {sum(mono)} exceeds {self.coeff_bound}"
-                    )
-                col[self._index[key]] = coef
-        return col
-
-    def from_coordinates(self, col):
-        comps = {}
-        chart = self.split.chart
-        for k, c in enumerate(col):
-            if c:
-                mono, idx = self.elements[k]
-                f = ScalarField(chart, {mono: c.numerator}, {(0,) * chart.dim: c.denominator})
-                comps[idx] = comps.get(idx, ScalarField.zero(chart)) + f
-        return LeafwiseForm(self.split, self.degree, comps)
-
-
-def _leafwise_matrix(split, structure, p, d_in, d_out):
-    """Matrix of d_F from the (p, d_in) leafwise window into (p+1, d_out), and its source."""
-    source = LeafBasis(split, p, d_in)
-    target = LeafBasis(split, p + 1, d_out)
-    cols = [
-        target.coordinates_of(leafwise_d(split, source.element(k), structure))
-        for k in range(len(source))
-    ]
-    return RationalMatrix.from_columns(cols, len(target)), source
+def _leaf_complex(split, structure):
+    """The windowed complex of d_F (the Lie algebroid of the leaf tangents)."""
+    return WindowComplex(
+        split.chart,
+        lambda p, bound: LeafBasis(split, p, bound),
+        lambda p, comps: leafwise_d(split, LeafwiseForm(split, p, comps), structure).comps,
+        leafwise_degree_shift(split, structure),
+    )
 
 
 def leafwise_truncated_betti(split, p, d, structure=None):
-    """Windowed leafwise cohomology dimension, mirroring truncated_betti."""
+    """Windowed leafwise cohomology dimension: truncated_betti's count for d_F."""
     if structure is None:
         structure = _ts_structure_coefficients(split)
-    shift = leafwise_degree_shift(split, structure)
-
-    if p == split.rank:
-        kernel_dim = len(LeafBasis(split, p, d))
-    else:
-        mat, _ = _leafwise_matrix(split, structure, p, d, max(d + shift, 0))
-        kernel_dim = mat.cols - mat.rank()
-    d_pre = d - shift
-    if p == 0 or d_pre < 0:
-        image_rank = 0
-    else:
-        mat0, _ = _leafwise_matrix(split, structure, p - 1, d_pre, d)
-        image_rank = mat0.rank()
-    return {
-        "p": p,
-        "window_degree": d,
-        "kernel_dim": kernel_dim,
-        "image_rank": image_rank,
-        "betti": kernel_dim - image_rank,
-    }
+    return _leaf_complex(split, structure).betti(p, d)
 
 
 def thm31_cochain_report(pi, g, split, p, d):
@@ -520,45 +511,25 @@ def thm31_cochain_report(pi, g, split, p, d):
     report["basic_count"] = len(closed)
     report["basic_forms_closed"] = all(closed)
 
-    structure = _ts_structure_coefficients(split)
-    shift = leafwise_degree_shift(split, structure)
-    if p == split.rank:
-        source = LeafBasis(split, p, d)
-        mat = RationalMatrix.zero(0, len(source))
-    else:
-        mat, source = _leafwise_matrix(split, structure, p, d, max(d + shift, 0))
-    kernel_cols = mat.kernel_basis()
+    leaf = _leaf_complex(split, _ts_structure_coefficients(split))
+    source = leaf.basis(p, d)
     pushed_closed = []
-    for vec in kernel_cols:
-        omega = source.from_coordinates(vec)
-        image = pi_pushforward(split, omega)
+    for vec in leaf.cocycle_matrix(source).kernel_basis():
+        image = pi_pushforward(split, source.from_coordinates(vec))
         pushed_closed.append(pi.d_pi(image).is_zero)
     report["leaf_cocycle_count"] = len(pushed_closed)
     report["pushforwards_closed"] = all(pushed_closed)
 
     if p == 1:
         betti_pi = truncated_betti(pi, 1, d)["betti"]
-        betti_leaf = leafwise_truncated_betti(split, 1, d, structure)["betti"]
-        family = [
-            f
+        betti_leaf = leaf.betti(1, d)["betti"]
+        window = GradedBasis(pi.chart, 1, d)
+        cols = [
+            window.sparse_coordinates_of(f.as_pform())
             for f in basic_form_family(pi, g, d)
             if all(c.is_polynomial and c.total_degree() <= d for c in f.comps)
         ]
-        if family:
-            rows = []
-            monos = _monomials_upto(pi.chart.dim, d)
-            mono_index = {m: i for i, m in enumerate(monos)}
-            n = pi.chart.dim
-            for f in family:
-                row = [0] * (n * len(monos))
-                for i, c in enumerate(f.comps):
-                    if not c.is_zero:
-                        for mono, coef in c.poly_terms().items():
-                            row[i * len(monos) + mono_index[mono]] = coef
-                rows.append(row)
-            basic_dim = RationalMatrix(rows).rank()
-        else:
-            basic_dim = 0
+        basic_dim = RationalMatrix.from_columns(cols, len(window)).rank()
         report["betti_pi"] = betti_pi
         report["betti_leafwise"] = betti_leaf
         report["basic_window_dim"] = basic_dim

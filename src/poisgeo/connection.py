@@ -21,19 +21,23 @@ from .errors import (
 )
 from .linalg import FieldMatrix
 from .scalar import ScalarField
-from .tensor import OneForm
+from .tensor import OneForm, _sharp
 
 
-class CoMetric:
-    """Symmetric matrix of ScalarFields: entry(i, j) = <dx_i, dx_j>."""
+class SymmetricForm:
+    """Symmetric n x n matrix of ScalarFields, the bilinear form it defines.
+
+    ``CoMetric`` pairs 1-forms with it, ``foliation.TangentMetric`` vectors.
+    """
 
     __slots__ = ("chart", "matrix")
+    noun = "symmetric form"
 
     def __init__(self, chart, matrix):
         matrix = tuple(tuple(row) for row in matrix)
         n = chart.dim
         if len(matrix) != n or any(len(r) != n for r in matrix):
-            raise PoisgeoError(f"cometric matrix must be {n}x{n}")
+            raise PoisgeoError(f"{self.noun} must be {n}x{n}")
         for i in range(n):
             for j in range(i, n):
                 if matrix[i][j] != matrix[j][i]:
@@ -44,6 +48,40 @@ class CoMetric:
     @classmethod
     def identity(cls, chart):
         return cls(chart, FieldMatrix.identity(chart, chart.dim).entries)
+
+    def entry(self, i, j):
+        return self.matrix[i][j]
+
+    def __eq__(self, other):
+        return (
+            type(other) is type(self)
+            and self.chart == other.chart
+            and self.matrix == other.matrix
+        )
+
+    def __hash__(self):
+        return hash((self.chart, self.matrix))
+
+    def field_matrix(self):
+        return FieldMatrix(self.chart, self.matrix)
+
+    def pairing(self, u, v):
+        """sum_ij u_i matrix[i][j] v_j, for two 1-forms or two vector fields."""
+        out = self.chart.zero_field
+        for a, row in zip(u.comps, self.matrix):
+            if a.is_zero:
+                continue
+            for g, b in zip(row, v.comps):
+                if not (g.is_zero or b.is_zero):
+                    out = out + a * g * b
+        return out
+
+
+class CoMetric(SymmetricForm):
+    """The cometric: entry(i, j) = <dx_i, dx_j>, pairing(alpha, beta) = <alpha, beta>."""
+
+    __slots__ = ()
+    noun = "cometric matrix"
 
     @classmethod
     def diagonal(cls, chart, diag):
@@ -64,52 +102,9 @@ class CoMetric:
             m[j][i] = val
         return cls(chart, m)
 
-    def entry(self, i, j):
-        return self.matrix[i][j]
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, CoMetric)
-            and self.chart == other.chart
-            and self.matrix == other.matrix
-        )
-
-    def __hash__(self):
-        return hash((self.chart, self.matrix))
-
-    def field_matrix(self):
-        return FieldMatrix(self.chart, self.matrix)
-
-    def pairing(self, alpha, beta):
-        """<alpha, beta> for 1-forms."""
-        out = ScalarField.zero(self.chart)
-        n = self.chart.dim
-        for i in range(n):
-            a = alpha.comps[i]
-            if a.is_zero:
-                continue
-            for j in range(n):
-                g = self.matrix[i][j]
-                b = beta.comps[j]
-                if not (g.is_zero or b.is_zero):
-                    out = out + a * g * b
-        return out
-
     def sharp(self, alpha):
         """The metric identification T*P -> TP: beta(sharp(alpha)) = <alpha, beta>."""
-        from .tensor import VectorField
-
-        n = self.chart.dim
-        comps = []
-        for j in range(n):
-            acc = ScalarField.zero(self.chart)
-            for i in range(n):
-                a = alpha.comps[i]
-                g = self.matrix[i][j]
-                if not (a.is_zero or g.is_zero):
-                    acc = acc + a * g
-            comps.append(acc)
-        return VectorField(self.chart, comps)
+        return _sharp(self.chart, self.matrix, alpha)
 
     def validate(self, samples):
         """Symmetry symbolically plus Sylvester positivity at every sample.

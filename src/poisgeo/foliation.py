@@ -4,10 +4,12 @@ Splits the cotangent bundle into ker pi and its metric orthogonal, builds
 dual tangent frames for the leaves and their normal directions, and houses
 everything that lives on those frames: the leafwise symplectic form, the
 induced tangent metric, the leaf connection, basic forms, foliate fields,
-invariance checks, the bundle-like test, and the leafwise differential.
+invariance checks, the bundle-like test, and the leafwise differential
+d_F, which is ``tensor.ce_differential`` with the leaf frame as anchor and
+its structure functions as bracket (the same formula as d_pi).
 """
 
-from itertools import combinations
+from itertools import combinations, combinations_with_replacement
 
 from .chart import as_point
 from .errors import (
@@ -15,14 +17,13 @@ from .errors import (
     DegreeOverflow,
     Inconclusive,
     InternalInconsistency,
-    NotSymmetric,
     NotTangent,
     PoisgeoError,
     RankNotConstant,
     RankOdd,
     SingularLeafwiseForm,
 )
-from .connection import check_positive_definite, levi_civita
+from .connection import SymmetricForm, check_positive_definite, levi_civita
 from .linalg import FieldMatrix
 from .polyops import monomials_upto
 from .scalar import ScalarField
@@ -30,63 +31,20 @@ from .tensor import (
     OneForm,
     PForm,
     VectorField,
+    _evaluate,
     _sort_sign,
+    ce_differential,
     interior_d,
     lie_bracket,
     lie_derivative_bivector,
 )
 
 
-class TangentMetric:
-    """Symmetric matrix on TP: entry(i, j) = g(dd_i, dd_j)."""
+class TangentMetric(SymmetricForm):
+    """Metric on TP: entry(i, j) = g(dd_i, dd_j), pairing(X, Y) = g(X, Y)."""
 
-    __slots__ = ("chart", "matrix")
-
-    def __init__(self, chart, matrix):
-        matrix = tuple(tuple(row) for row in matrix)
-        n = chart.dim
-        if len(matrix) != n or any(len(r) != n for r in matrix):
-            raise PoisgeoError(f"tangent metric must be {n}x{n}")
-        for i in range(n):
-            for j in range(i, n):
-                if matrix[i][j] != matrix[j][i]:
-                    raise NotSymmetric(f"entries ({i},{j}) and ({j},{i}) differ")
-        self.chart = chart
-        self.matrix = matrix
-
-    @classmethod
-    def identity(cls, chart):
-        return cls(chart, FieldMatrix.identity(chart, chart.dim).entries)
-
-    def entry(self, i, j):
-        return self.matrix[i][j]
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, TangentMetric)
-            and self.chart == other.chart
-            and self.matrix == other.matrix
-        )
-
-    def __hash__(self):
-        return hash((self.chart, self.matrix))
-
-    def field_matrix(self):
-        return FieldMatrix(self.chart, self.matrix)
-
-    def pairing(self, X, Y):
-        out = ScalarField.zero(self.chart)
-        n = self.chart.dim
-        for i in range(n):
-            a = X.comps[i]
-            if a.is_zero:
-                continue
-            for j in range(n):
-                gij = self.matrix[i][j]
-                b = Y.comps[j]
-                if not (gij.is_zero or b.is_zero):
-                    out = out + a * gij * b
-        return out
+    __slots__ = ()
+    noun = "tangent metric"
 
     def sharp_form(self, alpha):
         """The vector v with g(v, u) = alpha(u) for all u (solves g v = alpha)."""
@@ -324,15 +282,7 @@ class LeafwiseForm:
 
     def apply_frame_coeffs(self, coeff_rows):
         """Evaluate on leaf vectors given by their ts_frame coefficient rows."""
-        from .tensor import _det
-
-        total = ScalarField.zero(self.chart)
-        for idx, c in self.comps.items():
-            mat = [[row[i] for i in idx] for row in coeff_rows]
-            d = _det(self.chart, mat)
-            if not d.is_zero:
-                total = total + c * d
-        return total
+        return _evaluate(self.chart, self.comps, coeff_rows)
 
     def apply(self, vectors):
         """Evaluate on leaf-tangent vector fields (decomposed into ts_frame)."""
@@ -601,9 +551,10 @@ def basic_form_family(pi, g, max_degree=2):
 def bundle_like_report(pi, g, split, max_degree=2):
     """Reinhart-style test: pairings of basic forms must be Casimir.
 
-    For the enumerated family of basic 1-forms alpha, beta the function
-    g(#alpha, #beta) = <alpha, beta> must be a Casimir; the report also
-    cross-checks that the induced tangent metric reproduces the pairing.
+    For the enumerated family of basic 1-forms alpha, beta (each unordered
+    pair once) the function g(#alpha, #beta) = <alpha, beta> must be a
+    Casimir; the report also cross-checks that the induced tangent metric
+    reproduces the pairing.
     Raises Inconclusive when the family is empty.
     """
     family = basic_form_family(pi, g, max_degree)
@@ -611,13 +562,13 @@ def bundle_like_report(pi, g, split, max_degree=2):
         raise Inconclusive("no basic 1-forms found in the enumerated family")
     tangent = split.tangent_metric()
     failures = []
-    for a in family:
-        for b in family:
-            pairing = g.pairing(a, b)
-            if tangent.pairing(g.sharp(a), g.sharp(b)) != pairing:
-                failures.append(("pairing_mismatch", a, b))
-            if not pi.is_casimir(pairing):
-                failures.append(("not_casimir", a, b))
+    # both pairings are symmetric, so each unordered pair is checked once
+    for a, b in combinations_with_replacement(family, 2):
+        pairing = g.pairing(a, b)
+        if tangent.pairing(g.sharp(a), g.sharp(b)) != pairing:
+            failures.append(("pairing_mismatch", a, b))
+        if not pi.is_casimir(pairing):
+            failures.append(("not_casimir", a, b))
     return {"family_size": len(family), "ok": not failures, "failures": failures}
 
 
@@ -641,6 +592,9 @@ def _ts_structure_coefficients(split):
 def leafwise_d(split, omega, structure=None):
     """The leafwise exterior differential on ts_frame tuples.
 
+    The Chevalley-Eilenberg differential of the leaf algebroid
+    (``tensor.ce_differential``, anchors the leaf frame):
+
     (d_F w)(X_0..X_p) = sum_j (-1)^j X_j . w(..no X_j..)
                       + sum_{i<j} (-1)^{i+j} w([X_i, X_j], ..no X_i, X_j..)
     """
@@ -652,29 +606,5 @@ def leafwise_d(split, omega, structure=None):
         return LeafwiseForm(split, r + 1, {})
     if structure is None:
         structure = _ts_structure_coefficients(split)
-    chart = split.chart
-    out = {}
-    for idx in combinations(range(r), p + 1):
-        val = ScalarField.zero(chart)
-        for jpos in range(p + 1):
-            rest = idx[:jpos] + idx[jpos + 1:]
-            comp = omega.component(rest)
-            if not comp.is_zero:
-                term = split.ts_frame[idx[jpos]].apply_to(comp)
-                val = val + term if jpos % 2 == 0 else val - term
-        if p:
-            for apos in range(p + 1):
-                for bpos in range(apos + 1, p + 1):
-                    coeffs = structure[idx[apos]][idx[bpos]]
-                    rest = tuple(idx[t] for t in range(p + 1) if t not in (apos, bpos))
-                    term = ScalarField.zero(chart)
-                    for d, cd in enumerate(coeffs):
-                        if not cd.is_zero:
-                            sub = omega.component_signed((d,) + rest)
-                            if not sub.is_zero:
-                                term = term + cd * sub
-                    if not term.is_zero:
-                        val = val + term if (apos + bpos) % 2 == 0 else val - term
-        if not val.is_zero:
-            out[idx] = val
-    return LeafwiseForm(split, p + 1, out)
+    comps = ce_differential(split.chart, split.ts_frame, structure, omega.comps, p, r)
+    return LeafwiseForm(split, p + 1, comps)

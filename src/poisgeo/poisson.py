@@ -1,5 +1,8 @@
 """Poisson bivectors: sharp map, brackets, Jacobi test, Casimirs, d_pi.
 
+d_pi is ``tensor.ce_differential`` for the cotangent Lie algebroid, whose
+anchor is pi_sharp and whose bracket is the Koszul bracket.
+
 Sign conventions follow beta(pi_sharp(alpha)) = pi(alpha, beta), so for the
 standard plane structure pi = dd_x ^ dd_y one gets pi_sharp(dx) = dd_y and
 pi_sharp(dy) = -dd_x.  A consequence worth remembering: the degree-0
@@ -16,6 +19,8 @@ from .tensor import (
     PVector,
     VectorField,
     _alternating,
+    _sharp,
+    ce_differential,
     exterior_d,
     interior_d,
     interior_vector,
@@ -102,18 +107,7 @@ class Bivector:
     def sharp(self, alpha):
         """pi_sharp(alpha): the vector V with beta(V) = pi(alpha, beta)."""
         _check(self, alpha)
-        n = self.chart.dim
-        zero = ScalarField.zero(self.chart)
-        comps = []
-        for j in range(n):
-            acc = zero
-            for i in range(n):
-                a = alpha.comps[i]
-                p = self.matrix[i][j]
-                if not (a.is_zero or p.is_zero):
-                    acc = acc + a * p
-            comps.append(acc)
-        return VectorField(self.chart, comps)
+        return _sharp(self.chart, self.matrix, alpha)
 
     def sharp_basis(self, i):
         """pi_sharp(dx_i), cached."""
@@ -245,7 +239,8 @@ class Bivector:
     def d_pi(self, Q):
         """Degree +1 differential on multivector fields.
 
-        On (p+1) coordinate 1-forms a_0..a_p:
+        The Chevalley-Eilenberg differential of the cotangent Lie algebroid
+        (``tensor.ce_differential``): on (p+1) coordinate 1-forms a_0..a_p,
 
             sum_j (-1)^j pi(a_j) . Q(..no a_j..)
           + sum_{i<j} (-1)^{i+j} Q([a_i, a_j]_pi, ..no a_i, a_j..)
@@ -264,29 +259,15 @@ class Bivector:
         p = Q.degree
         if p > n:
             raise PoisgeoError(f"d_pi of a degree-{p} multivector in dimension {n}")
-        out = {}
-        for idx in chart.increasing[p + 1]:
-            val = ScalarField.zero(chart)
-            for jpos in range(p + 1):
-                rest = idx[:jpos] + idx[jpos + 1:]
-                comp = Q.component(rest) if p else Q.component(())
-                if not comp.is_zero:
-                    term = self.sharp_basis(idx[jpos]).apply_to(comp)
-                    val = val + term if jpos % 2 == 0 else val - term
-            if p:
-                for apos in range(p + 1):
-                    for bpos in range(apos + 1, p + 1):
-                        br = self.koszul_coordinate(idx[apos], idx[bpos])
-                        if br.is_zero:
-                            continue
-                        rest = tuple(
-                            idx[t] for t in range(p + 1) if t != apos and t != bpos
-                        )
-                        term = Q.contract_first(br, rest)
-                        if not term.is_zero:
-                            val = val + term if (apos + bpos) % 2 == 0 else val - term
-            out[idx] = val
-        return _alternating(PVector, chart, p + 1, out)
+        anchors = [self.sharp_basis(a) for a in range(n)]
+        brackets = None
+        if p:
+            brackets = [
+                [self.koszul_coordinate(a, b).comps if a < b else () for b in range(n)]
+                for a in range(n)
+            ]
+        comps = ce_differential(chart, anchors, brackets, Q.comps, p, n)
+        return _alternating(PVector, chart, p + 1, comps)
 
 
 def _check(pi, obj):

@@ -5,6 +5,8 @@ forms and multivectors store one component per strictly increasing
 multi-index, with all sign bookkeeping done by permutation parity.
 """
 
+from itertools import combinations
+
 from .errors import (
     ChartMismatch,
     DegreeOverflow,
@@ -33,6 +35,66 @@ def _sort_sign(idx):
         if idx[i - 1] == idx[i]:
             return 0, tuple(idx)
     return sign, tuple(idx)
+
+
+def ce_differential(chart, anchors, structure, cochain, p, frame_size):
+    """The Chevalley-Eilenberg differential of a Lie algebroid on a frame.
+
+    Frame element e_a acts on functions by ``anchors[a]``, and [e_a, e_b] =
+    sum_c structure[a][b][c] e_c (read for a < b, and only when p >= 1).
+    ``cochain`` maps increasing frame tuples to its nonzero components; the
+    result holds the nonzero components of
+
+        (d w)(e_0..e_p) = sum_j (-1)^j e_j . w(..no e_j..)
+                        + sum_{i<j} (-1)^{i+j} w([e_i, e_j], ..no e_i, e_j..)
+    """
+    zero = chart.zero_field
+    out = {}
+    for idx in combinations(range(frame_size), p + 1):
+        val = zero
+        for jpos in range(p + 1):
+            comp = cochain.get(idx[:jpos] + idx[jpos + 1:])
+            if comp is not None:
+                term = anchors[idx[jpos]].apply_to(comp)
+                val = val + term if jpos % 2 == 0 else val - term
+        for apos, bpos in combinations(range(p + 1), 2):
+            rest = idx[:apos] + idx[apos + 1:bpos] + idx[bpos + 1:]
+            outer = 1 if (apos + bpos) % 2 == 0 else -1
+            for c, coeff in enumerate(structure[idx[apos]][idx[bpos]]):
+                if coeff.is_zero:
+                    continue
+                sign, key = _sort_sign((c,) + rest)
+                comp = cochain.get(key) if sign else None
+                if comp is not None:
+                    val = val + coeff * comp if sign * outer == 1 else val - coeff * comp
+        if not val.is_zero:
+            out[idx] = val
+    return out
+
+
+def _sharp(chart, matrix, alpha):
+    """The vector field sum_ij alpha_i matrix[i][j] dd_j of a 1-form and a matrix."""
+    comps = []
+    for column in zip(*matrix):
+        acc = chart.zero_field
+        for a, m in zip(alpha.comps, column):
+            if not (a.is_zero or m.is_zero):
+                acc = acc + a * m
+        comps.append(acc)
+    return VectorField(chart, comps)
+
+
+def _evaluate(chart, comps, rows):
+    """An alternating form's value on arguments given by their component rows.
+
+    ``comps`` maps increasing index tuples to the form's components.
+    """
+    total = chart.zero_field
+    for idx, c in comps.items():
+        d = _det(chart, [[row[i] for i in idx] for row in rows])
+        if not d.is_zero:
+            total = total + c * d
+    return total
 
 
 def _det(chart, rows):
@@ -290,17 +352,6 @@ class _Alternating:
 
     __xor__ = wedge
 
-    def _apply(self, rows):
-        """Multilinear alternating evaluation given the argument component rows."""
-        chart = self.chart
-        total = ScalarField.zero(chart)
-        for idx, c in self.comps.items():
-            mat = [[row[i] for i in idx] for row in rows]
-            d = _det(chart, mat)
-            if not d.is_zero:
-                total = total + c * d
-        return total
-
     def contract_first(self, cov, rest_indices):
         """Evaluate with a general object in slot 0 and coordinate slots after.
 
@@ -353,7 +404,7 @@ class PForm(_Alternating):
         vectors = list(vectors)
         if len(vectors) != self.degree:
             raise PoisgeoError("argument count must match the degree")
-        return self._apply([X.comps for X in vectors])
+        return _evaluate(self.chart, self.comps, [X.comps for X in vectors])
 
     def as_oneform(self):
         if self.degree != 1:
@@ -371,7 +422,7 @@ class PVector(_Alternating):
         forms = list(forms)
         if len(forms) != self.degree:
             raise PoisgeoError("argument count must match the degree")
-        return self._apply([a.comps for a in forms])
+        return _evaluate(self.chart, self.comps, [a.comps for a in forms])
 
     def as_vector(self):
         if self.degree != 1:

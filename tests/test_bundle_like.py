@@ -1,0 +1,36 @@
+"""bundle_like_report on a structure whose basic pairings are not Casimirs."""
+
+import json
+
+from poisgeo import bundle_like_report, load_spec_file, split_cotangent
+
+# pi = dd_x ^ dd_y and <dz, dz> = 1 + x^2: dz is basic, but
+# pi_sharp(d(1 + x^2)) = 2x dd_y, so its pairing is no Casimir.  The CLI
+# runs the bundle-like test only on Riemann-Poisson structures, where it
+# holds, so this case is reached through the API.
+SPEC = {
+    "name": "r3-curved-normal",
+    "coordinates": ["x", "y", "z"],
+    "pi": [[0, 1, "1"]],
+    "cometric": [[0, 0, "1"], [1, 1, "1"], [2, 2, "1+x^2"]],
+    "declared_rank": 2,
+    "samples": [[0, 0, 0], [1, 1, 2]],
+}
+
+
+def _spec_path(tmp_path):
+    path = tmp_path / "curved_normal.json"
+    path.write_text(json.dumps(SPEC))
+    return str(path)
+
+
+def test_report_fails_once_per_unordered_pair(tmp_path):
+    spec = load_spec_file(_spec_path(tmp_path))[1]
+    split = split_cotangent(spec.pi, spec.cometric, spec.declared_rank, spec.samples)
+    rep = bundle_like_report(spec.pi, spec.cometric, split)
+    assert rep["ok"] is False
+    # z^k dz for the Casimir monomials 1, z, z^2
+    assert rep["family_size"] == 3
+    kinds = [kind for kind, _, _ in rep["failures"]]
+    assert kinds == ["not_casimir"] * 6  # C(3 + 1, 2) unordered pairs, none repeated
+
