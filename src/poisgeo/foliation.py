@@ -31,8 +31,7 @@ from .tensor import (
     OneForm,
     PForm,
     VectorField,
-    _evaluate,
-    _sort_sign,
+    _Components,
     ce_differential,
     interior_d,
     lie_bracket,
@@ -206,7 +205,7 @@ def split_cotangent(pi, g, declared_rank, samples):
     return split
 
 
-class LeafwiseForm:
+class LeafwiseForm(_Components):
     """Alternating form on the leaf tangents, components on ts_frame tuples.
 
     Degree rank+1 is allowed as the zero space (no increasing tuples exist),
@@ -235,27 +234,9 @@ class LeafwiseForm:
         self.degree = degree
         self.comps = comps
 
-    @classmethod
-    def zero(cls, split, degree):
-        return cls(split, degree, {})
-
     @property
     def chart(self):
         return self.split.chart
-
-    @property
-    def is_zero(self):
-        return not self.comps
-
-    def component(self, idx):
-        return self.comps.get(tuple(idx), ScalarField.zero(self.chart))
-
-    def component_signed(self, idx):
-        sign, key = _sort_sign(idx)
-        if sign == 0:
-            return ScalarField.zero(self.chart)
-        c = self.comps.get(key, ScalarField.zero(self.chart))
-        return c if sign == 1 else -c
 
     def __add__(self, other):
         if not isinstance(other, LeafwiseForm) or other.split is not self.split:
@@ -269,9 +250,6 @@ class LeafwiseForm:
     def __neg__(self):
         return LeafwiseForm(self.split, self.degree, {k: -v for k, v in self.comps.items()})
 
-    def __sub__(self, other):
-        return self + (-other)
-
     def __eq__(self, other):
         return (
             isinstance(other, LeafwiseForm)
@@ -282,7 +260,7 @@ class LeafwiseForm:
 
     def apply_frame_coeffs(self, coeff_rows):
         """Evaluate on leaf vectors given by their ts_frame coefficient rows."""
-        return _evaluate(self.chart, self.comps, coeff_rows)
+        return self._apply(coeff_rows)
 
     def apply(self, vectors):
         """Evaluate on leaf-tangent vector fields (decomposed into ts_frame)."""

@@ -84,19 +84,6 @@ def _sharp(chart, matrix, alpha):
     return VectorField(chart, comps)
 
 
-def _evaluate(chart, comps, rows):
-    """An alternating form's value on arguments given by their component rows.
-
-    ``comps`` maps increasing index tuples to the form's components.
-    """
-    total = chart.zero_field
-    for idx, c in comps.items():
-        d = _det(chart, [[row[i] for i in idx] for row in rows])
-        if not d.is_zero:
-            total = total + c * d
-    return total
-
-
 def _det(chart, rows):
     """Determinant of a small ScalarField matrix by cofactor expansion."""
     n = len(rows)
@@ -230,7 +217,51 @@ def _alternating(cls, chart, degree, components):
     return out
 
 
-class _Alternating:
+class _Components:
+    """Shared parts of an alternating tensor stored as ``comps``, its nonzero
+    components on increasing index tuples: the coordinate tensors below and
+    ``foliation.LeafwiseForm`` on leaf frame tuples."""
+
+    __slots__ = ()
+
+    @classmethod
+    def zero(cls, owner, degree):
+        """The zero tensor of this degree on ``owner`` (a chart, or a splitting)."""
+        return cls(owner, degree, {})
+
+    def __sub__(self, other):
+        return self + (-other)
+
+    def component(self, idx):
+        """Component at a strictly increasing index tuple."""
+        return self.comps.get(tuple(idx), self.chart.zero_field)
+
+    def component_signed(self, idx):
+        """Component at an arbitrary index tuple (0 on repeats)."""
+        sign, key = _sort_sign(idx)
+        z = self.chart.zero_field
+        if sign == 0:
+            return z
+        c = self.comps.get(key, z)
+        return c if sign == 1 else -c
+
+    @property
+    def is_zero(self):
+        return not self.comps
+
+    def _apply(self, rows):
+        """Multilinear alternating evaluation given the argument component rows."""
+        chart = self.chart
+        total = ScalarField.zero(chart)
+        for idx, c in self.comps.items():
+            mat = [[row[i] for i in idx] for row in rows]
+            d = _det(chart, mat)
+            if not d.is_zero:
+                total = total + c * d
+        return total
+
+
+class _Alternating(_Components):
     """Shared storage for PForm / PVector: components on increasing multi-indices.
 
     Degrees run over 0..dim + 1; degree dim + 1 is the zero space, which is
@@ -267,27 +298,6 @@ class _Alternating:
         self.degree = degree
         self.comps = comps
 
-    @classmethod
-    def zero(cls, chart, degree):
-        return cls(chart, degree, {})
-
-    def component(self, idx):
-        """Component at a strictly increasing index tuple."""
-        return self.comps.get(tuple(idx), self.chart.zero_field)
-
-    def component_signed(self, idx):
-        """Component at an arbitrary index tuple (0 on repeats)."""
-        sign, key = _sort_sign(idx)
-        z = self.chart.zero_field
-        if sign == 0:
-            return z
-        c = self.comps.get(key, z)
-        return c if sign == 1 else -c
-
-    @property
-    def is_zero(self):
-        return not self.comps
-
     def __add__(self, other):
         if type(other) is not type(self):
             return NotImplemented
@@ -299,9 +309,6 @@ class _Alternating:
             s = out.get(k)
             out[k] = v if s is None else s + v
         return _alternating(type(self), self.chart, self.degree, out)
-
-    def __sub__(self, other):
-        return self + (-other)
 
     def __neg__(self):
         return _alternating(
@@ -404,7 +411,7 @@ class PForm(_Alternating):
         vectors = list(vectors)
         if len(vectors) != self.degree:
             raise PoisgeoError("argument count must match the degree")
-        return _evaluate(self.chart, self.comps, [X.comps for X in vectors])
+        return self._apply([X.comps for X in vectors])
 
     def as_oneform(self):
         if self.degree != 1:
@@ -422,7 +429,7 @@ class PVector(_Alternating):
         forms = list(forms)
         if len(forms) != self.degree:
             raise PoisgeoError("argument count must match the degree")
-        return _evaluate(self.chart, self.comps, [a.comps for a in forms])
+        return self._apply([a.comps for a in forms])
 
     def as_vector(self):
         if self.degree != 1:
