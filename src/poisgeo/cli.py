@@ -17,6 +17,7 @@ import argparse
 import json
 import sys
 import time
+from itertools import combinations
 
 from . import __version__
 from .cohomology import thm31_cochain_report, truncated_betti
@@ -48,8 +49,9 @@ from .foliation import (
     parallel_omega_residuals,
     split_cotangent,
 )
+from .linalg import FieldMatrix
 from .reconstruct import build_structure, validate_input
-from .specfile import ManifoldSpec, load_samples_file, load_spec_file
+from .specfile import ManifoldSpec, _fraction_str, load_samples_file, load_spec_file
 
 
 class Check:
@@ -72,19 +74,12 @@ class Check:
         }
 
 
-def _sample_str(point):
-    out = []
-    for c in point:
-        out.append(str(c.numerator) if c.denominator == 1 else f"{c.numerator}/{c.denominator}")
-    return out
-
-
 def _witness_sample(field, samples):
     """A sample where the witness expression evaluates to a nonzero rational."""
     for p in samples:
         try:
             if field.eval_at(p) != 0:
-                return _sample_str(p)
+                return [_fraction_str(c) for c in p]
         except PoisgeoError:
             continue
     return None
@@ -100,6 +95,19 @@ def _fail(name, witness_field, samples, detail=None):
         else None,
         detail=detail,
     )
+
+
+# rank_constant and the verdicts that need the cotangent splitting it builds
+_FOLIATION_CHECKS = (
+    "rank_constant",
+    "leafwise_symplectic_nondegenerate",
+    "induced_metric_positive",
+    "bracket_vs_lie_on_frames",
+    "perp_invariance",
+    "foliate_predicates",
+    "bundle_like",
+    "leaf_connection_parallel",
+)
 
 
 def run_check_pipeline(spec):
@@ -199,15 +207,7 @@ def run_check_pipeline(spec):
 
     rp = ctx.get("riemann_poisson", False)
     if split is None:
-        for name in (
-            "leafwise_symplectic_nondegenerate",
-            "induced_metric_positive",
-            "bracket_vs_lie_on_frames",
-            "perp_invariance",
-            "foliate_predicates",
-            "bundle_like",
-            "leaf_connection_parallel",
-        ):
+        for name in _FOLIATION_CHECKS[1:]:
             checks.append(Check(name, "skip", detail="no cotangent splitting"))
         return checks, ctx
 
@@ -288,10 +288,6 @@ def run_check_pipeline(spec):
 
 def _rank_witness(pi, declared_rank):
     """A minor of the bivector matrix that is not identically zero."""
-    from itertools import combinations
-
-    from .linalg import FieldMatrix
-
     n = pi.chart.dim
     for size in (declared_rank, 2, 1):
         if size < 1 or size > n:
@@ -310,14 +306,16 @@ def exit_code_from(checks):
 
 
 def make_report(spec, checks, path, digest, started, extra=None):
+    """The JSON report; ``checks`` None leaves the "checks" key out."""
     report = {
         "tool": "poisgeo",
         "version": __version__,
         "input": str(path),
         "input_sha256": digest,
         "spec_name": spec.name,
-        "checks": [c.as_dict() for c in checks],
     }
+    if checks is not None:
+        report["checks"] = [c.as_dict() for c in checks]
     if extra:
         report.update(extra)
     report["timing_s"] = round(time.monotonic() - started, 6)
@@ -326,7 +324,7 @@ def make_report(spec, checks, path, digest, started, extra=None):
 
 def _print_text_report(spec, checks, stream):
     print(f"spec: {spec.name}", file=stream)
-    for c in checks:
+    for c in checks or ():
         line = f"{c.name}: {c.status}"
         if c.status == "fail" and c.witness:
             line += f"  [witness {c.witness}"
@@ -338,65 +336,53 @@ def _print_text_report(spec, checks, stream):
         print(line, file=stream)
 
 
-def _load_manifold(path, samples_path=None):
-    kind, spec, digest = load_spec_file(path)
-    if kind != "manifold":
-        raise SpecFileError(f"{path}: expected a manifold spec (with a 'pi' entry)")
+def _emit(args, spec, digest, started, checks, extra=None, lines=()):
+    """The JSON report under --json; else the text report, then ``lines``."""
+    if args.json:
+        report = make_report(spec, checks, args.spec, digest, started, extra)
+        print(json.dumps(report, sort_keys=True, indent=2))
+    else:
+        _print_text_report(spec, checks, sys.stdout)
+        for line in lines:
+            print(line)
+
+
+def _load(path, samples_path, kind):
+    """(spec, sha256) of a spec file of the given kind, samples overridden."""
+    found, spec, digest = load_spec_file(path)
+    if found != kind:
+        entry = "pi" if kind == "manifold" else "frame"
+        raise SpecFileError(f"{path}: expected a {kind} spec (with a '{entry}' entry)")
     if samples_path:
-        samples = load_samples_file(samples_path, spec.chart)
-        spec = ManifoldSpec(
-            spec.name, spec.chart, spec.pi, spec.cometric, spec.declared_rank, samples
-        )
+        # both spec classes take their slots in order, the samples last
+        fields = [getattr(spec, slot) for slot in type(spec).__slots__[:-1]]
+        spec = type(spec)(*fields, load_samples_file(samples_path, spec.chart))
     return spec, digest
 
 
 def cmd_check(args):
     started = time.monotonic()
-    spec, digest = _load_manifold(args.spec, args.samples)
+    spec, digest = _load(args.spec, args.samples, "manifold")
     checks, _ = run_check_pipeline(spec)
-    if args.json:
-        report = make_report(spec, checks, args.spec, digest, started)
-        print(json.dumps(report, sort_keys=True, indent=2))
-    else:
-        _print_text_report(spec, checks, sys.stdout)
+    _emit(args, spec, digest, started, checks)
     return exit_code_from(checks)
 
 
 def _gamma_strings(spec, D):
     names = spec.chart.names
-    n = spec.chart.dim
-    table = []
-    for i in range(n):
-        for j in range(n):
-            form = D.basis_derivative(i, j)
-            terms = [
-                f"({form.comps[k]})*d{names[k]}"
-                for k in range(n)
-                if not form.comps[k].is_zero
-            ]
-            table.append(
-                {
-                    "along": f"d{names[i]}",
-                    "of": f"d{names[j]}",
-                    "value": " + ".join(terms) if terms else "0",
-                }
-            )
-    return table
+    return [
+        {"along": f"d{a}", "of": f"d{b}", "value": repr(D.basis_derivative(i, j))}
+        for i, a in enumerate(names)
+        for j, b in enumerate(names)
+    ]
 
 
 def cmd_christoffel(args):
     started = time.monotonic()
-    spec, digest = _load_manifold(args.spec, args.samples)
-    D = levi_civita(spec.pi, spec.cometric)
-    table = _gamma_strings(spec, D)
-    if args.json:
-        report = make_report(spec, [], args.spec, digest, started, extra={"christoffel": table})
-        del report["checks"]
-        print(json.dumps(report, sort_keys=True, indent=2))
-    else:
-        print(f"spec: {spec.name}")
-        for row in table:
-            print(f"D[{row['along']}][{row['of']}] = {row['value']}")
+    spec, digest = _load(args.spec, args.samples, "manifold")
+    table = _gamma_strings(spec, levi_civita(spec.pi, spec.cometric))
+    lines = [f"D[{row['along']}][{row['of']}] = {row['value']}" for row in table]
+    _emit(args, spec, digest, started, None, {"christoffel": table}, lines)
     return 0
 
 
@@ -404,27 +390,14 @@ def _foliation_details(spec, ctx):
     split = ctx.get("split")
     if split is None:
         return None
-    names = spec.chart.names
     omega = ctx.get("leafwise")
-
-    def form_str(form):
-        terms = [
-            f"({c})*d{names[i]}" for i, c in enumerate(form.comps) if not c.is_zero
-        ]
-        return " + ".join(terms) if terms else "0"
-
-    def vec_str(vec):
-        terms = [
-            f"({c})*dd_{names[i]}" for i, c in enumerate(vec.comps) if not c.is_zero
-        ]
-        return " + ".join(terms) if terms else "0"
-
+    dd = [f"dd_{name}" for name in spec.chart.names]
     details = {
         "rank": split.rank,
-        "kernel_frame": [form_str(k) for k in split.kernel_frame],
-        "perp_frame": [form_str(p) for p in split.perp_frame],
-        "ts_frame": [vec_str(t) for t in split.ts_frame],
-        "h_frame": [vec_str(h) for h in split.h_frame],
+        "kernel_frame": [repr(k) for k in split.kernel_frame],
+        "perp_frame": [repr(p) for p in split.perp_frame],
+        "ts_frame": [t._display(dd) for t in split.ts_frame],
+        "h_frame": [h._display(dd) for h in split.h_frame],
     }
     if omega is not None:
         details["leafwise_symplectic"] = {
@@ -436,48 +409,17 @@ def _foliation_details(spec, ctx):
 
 def cmd_foliation(args):
     started = time.monotonic()
-    spec, digest = _load_manifold(args.spec, args.samples)
+    spec, digest = _load(args.spec, args.samples, "manifold")
     checks, ctx = run_check_pipeline(spec)
-    wanted = {
-        "rank_constant",
-        "leafwise_symplectic_nondegenerate",
-        "induced_metric_positive",
-        "bracket_vs_lie_on_frames",
-        "perp_invariance",
-        "foliate_predicates",
-        "bundle_like",
-        "leaf_connection_parallel",
-    }
-    subset = [c for c in checks if c.name in wanted]
+    subset = [c for c in checks if c.name in _FOLIATION_CHECKS]
     details = _foliation_details(spec, ctx)
-    if args.json:
-        report = make_report(
-            spec, subset, args.spec, digest, started, extra={"foliation": details}
-        )
-        print(json.dumps(report, sort_keys=True, indent=2))
-    else:
-        _print_text_report(spec, subset, sys.stdout)
-        if details:
-            print(f"rank: {details['rank']}")
-            for key in ("kernel_frame", "perp_frame", "ts_frame", "h_frame"):
-                print(f"{key}: {details[key]}")
-            if "leafwise_symplectic" in details:
-                print(f"leafwise_symplectic: {details['leafwise_symplectic']}")
+    lines = [f"{key}: {value}" for key, value in (details or {}).items()]
+    _emit(args, spec, digest, started, subset, {"foliation": details}, lines)
     return exit_code_from(subset)
 
 
 def cmd_construct(args):
-    started = time.monotonic()
-    kind, spec, digest = load_spec_file(args.spec)
-    if kind != "foliation":
-        raise SpecFileError(f"{args.spec}: expected a foliation spec (with a 'frame' entry)")
-    if args.samples:
-        samples = load_samples_file(args.samples, spec.chart)
-        from .specfile import FoliationSpec
-
-        spec = FoliationSpec(
-            spec.name, spec.chart, spec.frame, spec.tangent_metric, spec.omega, samples
-        )
+    spec, _ = _load(args.spec, args.samples, "foliation")
     inp = spec.foliation_input()
     try:
         validate_input(inp)
@@ -498,7 +440,7 @@ def cmd_construct(args):
 
 def cmd_cohomology(args):
     started = time.monotonic()
-    spec, digest = _load_manifold(args.spec, args.samples)
+    spec, digest = _load(args.spec, args.samples, "manifold")
     dim = spec.chart.dim
     if not 0 <= args.p <= dim:
         raise InvalidArgument(f"--p {args.p} outside 0..{dim} for a {dim}-dimensional chart")
@@ -534,14 +476,7 @@ def cmd_cohomology(args):
                 f"dimension_match={rep['dimension_match']}"
             )
         extra["thm31"] = rep
-    if args.json:
-        report = make_report(spec, [], args.spec, digest, started, extra=extra)
-        del report["checks"]
-        print(json.dumps(report, sort_keys=True, indent=2))
-    else:
-        print(f"spec: {spec.name}")
-        for line in lines:
-            print(line)
+    _emit(args, spec, digest, started, None, extra, lines)
     if args.thm31:
         if "error" in rep:
             print(rep["error"], file=sys.stderr)
@@ -558,7 +493,7 @@ def cmd_cohomology(args):
 
 def cmd_report(args):
     started = time.monotonic()
-    spec, digest = _load_manifold(args.spec, args.samples)
+    spec, digest = _load(args.spec, args.samples, "manifold")
     checks, ctx = run_check_pipeline(spec)
     extra = {"foliation": _foliation_details(spec, ctx)}
     if ctx.get("connection") is not None:
@@ -633,9 +568,6 @@ def main(argv=None):
     try:
         return command(args)
     except _INPUT_ERRORS as exc:
-        print(f"input error: {exc}", file=sys.stderr)
-        return 2
-    except FileNotFoundError as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return 2
     except PoisgeoError as exc:

@@ -551,11 +551,13 @@ def bundle_like_report(pi, g, split, max_degree=2):
 
 
 def _ts_structure_coefficients(split):
-    """[ts_b, ts_c] = sum_d C[b][c][d] ts_d; requires an involutive leaf frame."""
+    """[ts_b, ts_c] = sum_d C[b][c][d] ts_d for b < c, the cells
+    ``ce_differential`` reads; the others are ``()``.  Requires an involutive
+    leaf frame."""
     r = split.rank
-    C = [[None] * r for _ in range(r)]
+    C = [[()] * r for _ in range(r)]
     for b in range(r):
-        for c in range(r):
+        for c in range(b + 1, r):
             br = lie_bracket(split.ts_frame[b], split.ts_frame[c])
             coeffs = split.decompose_vector(br)
             for extra in coeffs[r:]:

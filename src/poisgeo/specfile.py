@@ -238,15 +238,23 @@ def classify_spec(data):
     raise SpecFileError("spec object has neither 'pi' nor 'frame'")
 
 
+def _read_json(path):
+    """(parsed JSON, raw bytes) of a file; SpecFileError if it cannot be read."""
+    try:
+        with open(path, "rb") as fh:
+            raw = fh.read()
+    except OSError as exc:
+        raise SpecFileError(str(exc)) from None
+    try:
+        return json.loads(raw.decode("utf-8")), raw
+    except (ValueError, RecursionError) as exc:  # bad UTF-8 or JSON; too deep; huge ints
+        raise SpecFileError(f"{path}: not valid JSON ({exc})") from None
+
+
 def load_spec_file(path):
     """Read a JSON spec file; returns (kind, spec, sha256-hex)."""
-    with open(path, "rb") as fh:
-        raw = fh.read()
+    data, raw = _read_json(path)
     digest = sha256(raw).hexdigest()
-    try:
-        data = json.loads(raw.decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-        raise SpecFileError(f"{path}: not valid JSON ({exc})") from None
     kind = classify_spec(data)
     if kind == "manifold":
         return kind, load_manifold_spec(data, where=str(path)), digest
@@ -255,8 +263,7 @@ def load_spec_file(path):
 
 def load_samples_file(path, chart):
     """Read an override sample list (JSON array of points)."""
-    with open(path, "rb") as fh:
-        data = json.loads(fh.read().decode("utf-8"))
+    data, _ = _read_json(path)
     if not isinstance(data, list):
         raise SpecFileError(f"{path}: samples override must be a JSON array")
     return _load_samples({"samples": data}, chart, str(path))

@@ -328,6 +328,19 @@ class TestSamplesOverride:
         assert code == 1  # still not parallel: Dpi != 0
         assert "riemann_poisson: fail" in out
 
+    def test_override_reaches_the_constructed_spec(self, capsys, tmp_path):
+        samples = tmp_path / "samples.json"
+        samples.write_text(json.dumps([[1, 2, 3], ["1/2", 0, -1]]))
+        code, out, err = run_cli(
+            capsys,
+            "construct",
+            str(corpus_path("foliation_flat_zmetric")),
+            "--samples", str(samples),
+            "--verify",
+        )
+        assert code == 0, err
+        assert json.loads(out)["samples"] == [["1", "2", "3"], ["1/2", "0", "-1"]]
+
 
 class TestInputErrors:
     """Bad spec contents exit 2 with a one-line message and no report."""
@@ -388,6 +401,45 @@ class TestInputErrors:
             tmp_path, cometric=[[0, 0, "x"], [0, 1, "x"], [1, 1, "x"], [2, 2, "1"]]
         )
         self._assert_input_error(capsys, ["christoffel", spec, "--json"], "singular")
+
+    def test_unreadable_samples_exit2(self, capsys, tmp_path):
+        """A --samples file that is not JSON, not UTF-8 or a directory."""
+        bad_json = tmp_path / "bad_json.json"
+        bad_json.write_text("{bad")
+        bad_utf8 = tmp_path / "bad_utf8.json"
+        bad_utf8.write_bytes(b"\xff\xfe")
+        cases = [
+            (bad_json, "not valid JSON"),
+            (bad_utf8, "not valid JSON"),
+            (tmp_path, "directory"),
+        ]
+        specs = {
+            "check": str(corpus_path("r3_flat")),
+            "construct": str(corpus_path("foliation_flat_zmetric")),
+        }
+        for command, spec in specs.items():
+            for samples, needle in cases:
+                self._assert_input_error(
+                    capsys, [command, spec, "--samples", str(samples)], needle
+                )
+
+    def test_spec_path_is_a_directory_exit2(self, capsys, tmp_path):
+        for command in ("check", "construct"):
+            self._assert_input_error(capsys, [command, str(tmp_path)], "directory")
+
+    def test_json_past_the_decoder_limits_exit2(self, capsys, tmp_path):
+        """Nesting deeper than the decoder recurses, and an integer literal
+        longer than Python converts, are JSON faults like any other."""
+        deep = tmp_path / "deep.json"
+        deep.write_text("[" * 100000)
+        long_int = tmp_path / "long_int.json"
+        long_int.write_text("[[" + "1" * 5000 + ", 0, 0]]")
+        spec = str(corpus_path("r3_flat"))
+        for path in (deep, long_int):
+            self._assert_input_error(capsys, ["check", str(path)], "not valid JSON")
+            self._assert_input_error(
+                capsys, ["check", spec, "--samples", str(path)], "not valid JSON"
+            )
 
     def test_deep_nesting_exit2(self, capsys, tmp_path):
         spec = self._write(tmp_path, pi=[[0, 1, "(" * 5000 + "x" + ")" * 5000]])
