@@ -10,7 +10,10 @@ cohomology.
 d_pi and the leafwise d_F are one Chevalley-Eilenberg differential, so both
 complexes share one window basis (``GradedBasis`` and ``LeafBasis`` only say
 what a coordinate vector stands for), one Leibniz-rule assembler and one
-kernel-minus-image count (``WindowComplex``).
+kernel-minus-image count (``WindowComplex``).  A complex is built from its
+Lie algebroid's anchors and brackets: pi_sharp(dx_a) and the Koszul
+brackets of the coordinate coframe (``Bivector.cotangent_algebroid``) for
+d_pi, the leaf frame and its structure functions for d_F.
 """
 
 from itertools import combinations
@@ -34,7 +37,16 @@ from .kernel import grlex_key
 from .linalg import RationalMatrix
 from .polyops import monomials_upto
 from .scalar import ScalarField
-from .tensor import OneForm, PForm, PVector, _sort_sign, interior_d, interior_form, interior_vector
+from .tensor import (
+    OneForm,
+    PForm,
+    PVector,
+    _sort_sign,
+    ce_differential,
+    interior_d,
+    interior_form,
+    interior_vector,
+)
 
 
 class _Window:
@@ -170,21 +182,33 @@ def _wedge_frame(terms, idx):
 class WindowComplex:
     """The windowed CE complex of a Lie algebroid with polynomial data.
 
-    ``basis(p, bound)`` builds a window, ``d(p, comps)`` is the differential
-    on degree-p components and ``shift`` its worst-case increase in
-    coefficient degree.  The differentials of the coordinates are taken once.
+    The algebroid is given on a frame e_0..e_{k-1} as ``tensor.ce_differential``
+    reads it: e_a acts on functions by ``anchors[a]`` and [e_a, e_b] has the
+    coefficients ``structure[a][b]`` (a < b).  ``basis(p, bound)`` builds a
+    window and ``shift`` is the worst-case increase in coefficient degree.
+    The differentials of the coordinates are read off the anchors, the p = 0
+    case of the CE formula: d(x_a)(e_b) = anchors[b] . x_a, the a-th
+    component of the b-th anchor.
     """
 
-    __slots__ = ("chart", "basis", "d", "shift", "d_coords")
+    __slots__ = ("chart", "basis", "anchors", "structure", "shift", "d_coords")
 
-    def __init__(self, chart, basis, d, shift):
+    def __init__(self, chart, basis, anchors, structure, shift):
         self.chart = chart
         self.basis = basis
-        self.d = d
+        self.anchors = anchors
+        self.structure = structure
         self.shift = shift
         self.d_coords = [
-            _terms(d(0, {(): ScalarField.coordinate(chart, a)})) for a in range(chart.dim)
+            _terms({(b,): X.comps[a] for b, X in enumerate(anchors) if not X.comps[a].is_zero})
+            for a in range(chart.dim)
         ]
+
+    def d_frame(self, idx):
+        """The terms of d(e_idx), the CE formula on a constant frame cochain."""
+        e_idx = {idx: self.chart.one_field}
+        k = len(self.anchors)
+        return _terms(ce_differential(self.chart, self.anchors, self.structure, e_idx, len(idx), k))
 
     def matrix(self, source, target):
         """Matrix of d between two windows, its columns from the Leibniz rule
@@ -193,11 +217,10 @@ class WindowComplex:
 
         which holds for every anchor and bracket, Jacobi or not: the anchor
         term is a derivation in the coefficient and the bracket term is
-        linear over functions.  So d runs only on the C(k, p) constant frame
-        cochains e_I and on the n coordinates.
+        linear over functions.  So the CE formula runs only on the C(k, p)
+        constant frame cochains e_I, where its anchor terms vanish.
         """
-        one = self.chart.one_field
-        d_frames = {idx: _terms(self.d(source.degree, {idx: one})) for idx in source.frames}
+        d_frames = {idx: self.d_frame(idx) for idx in source.frames}
         leibniz = {idx: [_wedge_frame(t, idx) for t in self.d_coords] for idx in source.frames}
         cols = []
         for mono, idx in source.elements:
@@ -272,11 +295,10 @@ def degree_shift(pi):
 def _dpi_complex(pi):
     """The windowed complex of d_pi, the cotangent Lie algebroid's differential."""
     chart = pi.chart
+    shift = degree_shift(pi)
+    anchors, brackets = pi.cotangent_algebroid()
     return WindowComplex(
-        chart,
-        lambda p, bound: GradedBasis(chart, p, bound),
-        lambda p, comps: pi.d_pi(PVector(chart, p, comps)).comps,
-        degree_shift(pi),
+        chart, lambda p, bound: GradedBasis(chart, p, bound), anchors, brackets, shift
     )
 
 
@@ -292,11 +314,11 @@ def truncated_betti(pi, p, d, with_representatives=False):
 
 def dpi_squared_matrix(pi, p, d):
     """The composed matrix d_pi . d_pi out of the (p, d) window (exact product)."""
-    shift = degree_shift(pi)
-    mid = max(d + shift, 0)
-    outer = max(mid + shift, 0)
-    m1, _, _ = assemble_dpi_matrix(pi, p, d, mid)
-    m2, _, _ = assemble_dpi_matrix(pi, p + 1, mid, outer)
+    complex_ = _dpi_complex(pi)
+    mid = max(d + complex_.shift, 0)
+    outer = max(mid + complex_.shift, 0)
+    m1, _, _ = complex_.assemble(p, d, mid)
+    m2, _, _ = complex_.assemble(p + 1, mid, outer)
     return m2 @ m1
 
 
@@ -480,7 +502,8 @@ def _leaf_complex(split, structure):
     return WindowComplex(
         split.chart,
         lambda p, bound: LeafBasis(split, p, bound),
-        lambda p, comps: leafwise_d(split, LeafwiseForm(split, p, comps), structure).comps,
+        split.ts_frame,
+        structure,
         leafwise_degree_shift(split, structure),
     )
 

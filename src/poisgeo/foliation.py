@@ -384,9 +384,11 @@ def basic_one_form_routes(pi, alpha):
 
     Route A is the definition: pi_sharp(alpha) = 0 and i_{pi(beta)} d alpha = 0
     for all beta (coordinate beta suffice by tensoriality).  Route B asks the
-    Koszul bracket [alpha, beta]_pi to vanish for all beta; the generators
-    dx_i and x_j dx_i capture that quantifier through the Leibniz rule
-    [alpha, f beta]_pi = f [alpha, beta]_pi + (pi(alpha).f) beta.
+    Koszul bracket [alpha, beta]_pi to vanish for all beta.  By the Leibniz
+    rule [alpha, f beta]_pi = f [alpha, beta]_pi + (pi(alpha).f) beta, the 2n
+    generators dx_i and x_j dx_0 capture that quantifier: once [alpha, dx_0]
+    vanishes, [alpha, x_j dx_0]_pi = (pi(alpha).x_j) dx_0, so they vanish
+    for all j exactly when pi(alpha) does.
     """
     chart = pi.chart
     n = chart.dim
@@ -396,19 +398,12 @@ def basic_one_form_routes(pi, alpha):
             if not interior_d(pi.sharp_basis(i), alpha.as_pform()).is_zero:
                 route_a = False
                 break
-    route_b = True
-    coords = [ScalarField.coordinate(chart, j) for j in range(n)]
-    for i in range(n):
-        base = OneForm.basis(chart, i)
-        if not pi.koszul(alpha, base).is_zero:
-            route_b = False
-            break
-        for xj in coords:
-            if not pi.koszul(alpha, xj * base).is_zero:
-                route_b = False
-                break
-        if not route_b:
-            break
+    route_b = all(pi.koszul(alpha, OneForm.basis(chart, i)).is_zero for i in range(n))
+    if route_b:
+        dx0 = OneForm.basis(chart, 0)
+        route_b = all(
+            pi.koszul(alpha, ScalarField.coordinate(chart, j) * dx0).is_zero for j in range(n)
+        )
     return route_a, route_b
 
 

@@ -31,7 +31,9 @@ from .tensor import (
 class Bivector:
     """Antisymmetric matrix of ScalarFields; entry(i, j) = pi(dx_i, dx_j)."""
 
-    __slots__ = ("chart", "matrix", "_koszul_table", "_sharp_table", "_degree_shift")
+    __slots__ = (
+        "chart", "matrix", "_koszul_table", "_sharp_table", "_algebroid", "_degree_shift",
+    )
 
     def __init__(self, chart, matrix):
         matrix = tuple(tuple(row) for row in matrix)
@@ -50,6 +52,7 @@ class Bivector:
         self.matrix = matrix
         self._koszul_table = None
         self._sharp_table = None
+        self._algebroid = None
         self._degree_shift = None
 
     @classmethod
@@ -231,6 +234,23 @@ class Bivector:
 
     # -- the multivector differential ----------------------------------------
 
+    def cotangent_algebroid(self):
+        """(anchors, brackets) of the cotangent Lie algebroid on the coframe dx_a,
+        as ``tensor.ce_differential`` reads them, built once.
+
+        anchors[a] = pi_sharp(dx_a), and brackets[a][b] holds the components
+        of [dx_a, dx_b]_pi for a < b (``()`` otherwise).
+        """
+        if self._algebroid is None:
+            n = self.chart.dim
+            anchors = tuple(self.sharp_basis(a) for a in range(n))
+            brackets = tuple(
+                tuple(self.koszul_coordinate(a, b).comps if a < b else () for b in range(n))
+                for a in range(n)
+            )
+            self._algebroid = anchors, brackets
+        return self._algebroid
+
     def d_pi(self, Q):
         """Degree +1 differential on multivector fields.
 
@@ -254,13 +274,7 @@ class Bivector:
         p = Q.degree
         if p > n:
             raise PoisgeoError(f"d_pi of a degree-{p} multivector in dimension {n}")
-        anchors = [self.sharp_basis(a) for a in range(n)]
-        brackets = None
-        if p:
-            brackets = [
-                [self.koszul_coordinate(a, b).comps if a < b else () for b in range(n)]
-                for a in range(n)
-            ]
+        anchors, brackets = self.cotangent_algebroid()
         comps = ce_differential(chart, anchors, brackets, Q.comps, p, n)
         return _alternating(PVector, chart, p + 1, comps)
 

@@ -295,8 +295,10 @@ class ScalarField:
         return ScalarField(self.chart, num, poly_mul(self._den, self._den))
 
     def derivative_along(self, components):
-        """Directional derivative sum(components[i] * d/dx_i)."""
-        out = ScalarField.zero(self.chart)
+        """Directional derivative sum(components[i] * d/dx_i); zero at once on a constant."""
+        out = self.chart.zero_field
+        if self.is_constant:
+            return out
         for i, c in enumerate(components):
             if not c.is_zero:
                 out = out + c * self.diff(i)

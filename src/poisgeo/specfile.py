@@ -134,6 +134,17 @@ def _require(mapping, key, kind, where):
     return value
 
 
+def _load_name(data, where):
+    """The spec's name; SpecFileError unless it encodes as UTF-8, which a
+    JSON escape of a lone surrogate (``"\\ud800"``) does not."""
+    name = _require(data, "name", str, where)
+    try:
+        name.encode("utf-8")
+    except UnicodeEncodeError:
+        raise SpecFileError(f"{where}: key 'name' does not encode as UTF-8") from None
+    return name
+
+
 def _load_chart(data, where):
     coords = _require(data, "coordinates", list, where)
     if not all(isinstance(c, str) for c in coords):
@@ -184,7 +195,7 @@ def load_manifold_spec(data, where="manifold spec"):
     """Build a ManifoldSpec from a parsed JSON object."""
     if not isinstance(data, dict):
         raise SpecFileError(f"{where}: top level must be an object")
-    name = _require(data, "name", str, where)
+    name = _load_name(data, where)
     chart = _load_chart(data, where)
     pi_entries = _load_entries(_require(data, "pi", list, where), chart, where, False)
     g_entries = _load_entries(
@@ -203,7 +214,7 @@ def load_foliation_spec(data, where="foliation spec"):
     """Build a FoliationSpec from a parsed JSON object."""
     if not isinstance(data, dict):
         raise SpecFileError(f"{where}: top level must be an object")
-    name = _require(data, "name", str, where)
+    name = _load_name(data, where)
     chart = _load_chart(data, where)
     raw_frame = _require(data, "frame", list, where)
     frame = []

@@ -441,6 +441,17 @@ class TestInputErrors:
                 capsys, ["check", spec, "--samples", str(path)], "not valid JSON"
             )
 
+    def test_name_that_is_not_utf8_exit2(self, capsys, tmp_path):
+        """A name holding a lone surrogate (JSON "\\ud800") is refused at load,
+        in text and JSON mode alike, for both spec kinds."""
+        for base, command in (("r3_flat", "check"), ("foliation_flat_zmetric", "construct")):
+            data = json.loads(corpus_path(base).read_text())
+            data["name"] = "bad\ud800name"
+            spec = tmp_path / f"{base}.json"
+            spec.write_text(json.dumps(data))
+            for flags in ([], ["--json"]) if command == "check" else ([],):
+                self._assert_input_error(capsys, [command, str(spec), *flags], "'name'", "UTF-8")
+
     def test_deep_nesting_exit2(self, capsys, tmp_path):
         spec = self._write(tmp_path, pi=[[0, 1, "(" * 5000 + "x" + ")" * 5000]])
         self._assert_input_error(capsys, ["check", spec, "--json"], "nested")
