@@ -37,7 +37,7 @@ class Chart:
                 raise PoisgeoError(f"bad coordinate name {nm!r}")
         n = len(names)
         one = {(0,) * n: 1}
-        increasing = tuple(tuple(combinations(range(n), k)) for k in range(n + 2))
+        increasing, increasing_set = increasing_tuples(n)
         init = object.__setattr__
         init(self, "names", names)
         init(self, "dim", n)
@@ -46,7 +46,7 @@ class Chart:
         init(self, "zero_field", _field(self, {}, one))
         init(self, "one_field", _field(self, one, one))
         init(self, "increasing", increasing)
-        init(self, "increasing_set", tuple(frozenset(t) for t in increasing))
+        init(self, "increasing_set", increasing_set)
 
     def __setattr__(self, name, value):
         raise AttributeError(f"cannot assign to field {name!r} of an immutable Chart")
@@ -75,6 +75,13 @@ class Chart:
 
     def __repr__(self):
         return f"Chart({', '.join(self.names)})"
+
+
+def increasing_tuples(k):
+    """Per degree p in 0..k + 1, the increasing p-tuples of range(k), and
+    their sets: the index tuples of alternating tensors on a frame of size k."""
+    increasing = tuple(tuple(combinations(range(k), p)) for p in range(k + 2))
+    return increasing, tuple(frozenset(t) for t in increasing)
 
 
 def as_point(chart, coords):

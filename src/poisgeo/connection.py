@@ -46,6 +46,19 @@ class SymmetricForm:
         self.matrix = matrix
 
     @classmethod
+    def from_upper(cls, chart, upper):
+        """Build from {(i, j): ScalarField} with i <= j; missing entries are 0."""
+        n = chart.dim
+        zero = ScalarField.zero(chart)
+        m = [[zero] * n for _ in range(n)]
+        for (i, j), val in upper.items():
+            if not 0 <= i <= j < n:
+                raise PoisgeoError(f"bad upper-triangular index {(i, j)}")
+            m[i][j] = val
+            m[j][i] = val
+        return cls(chart, m)
+
+    @classmethod
     def identity(cls, chart):
         return cls(chart, FieldMatrix.identity(chart, chart.dim).entries)
 
@@ -88,19 +101,6 @@ class CoMetric(SymmetricForm):
         n = chart.dim
         zero = ScalarField.zero(chart)
         return cls(chart, [[diag[i] if i == j else zero for j in range(n)] for i in range(n)])
-
-    @classmethod
-    def from_upper(cls, chart, upper):
-        """Build from {(i, j): ScalarField} with i <= j; missing entries are 0."""
-        n = chart.dim
-        zero = ScalarField.zero(chart)
-        m = [[zero] * n for _ in range(n)]
-        for (i, j), val in upper.items():
-            if not 0 <= i <= j < n:
-                raise PoisgeoError(f"bad upper-triangular index {(i, j)}")
-            m[i][j] = val
-            m[j][i] = val
-        return cls(chart, m)
 
     def sharp(self, alpha):
         """The metric identification T*P -> TP: beta(sharp(alpha)) = <alpha, beta>."""

@@ -7,11 +7,16 @@ induced tangent metric, the leaf connection, basic forms, foliate fields,
 invariance checks, the bundle-like test, and the leafwise differential
 d_F, which is ``tensor.ce_differential`` with the leaf frame as anchor and
 its structure functions as bracket (the same formula as d_pi).
+
+The leaf frame reuses the coordinate machinery.  Leafwise forms are the
+coordinate tensors' alternating components (``tensor._Components``) with
+the splitting as their frame, and every frame coefficient is a pairing with
+the one memoised coframe dual to (ts_frame, h_frame).
 """
 
 from itertools import combinations, combinations_with_replacement
 
-from .chart import as_point
+from .chart import as_point, increasing_tuples
 from .errors import (
     ChartMismatch,
     DegreeOverflow,
@@ -31,6 +36,7 @@ from .tensor import (
     OneForm,
     PForm,
     VectorField,
+    _alternating,
     _Components,
     ce_differential,
     interior_d,
@@ -64,6 +70,9 @@ class FoliationSplit:
     perp_frame   : 1-forms spanning the cometric-orthogonal of ker pi
     ts_frame     : pi_sharp of the perp frame (spans the leaf tangents)
     h_frame      : cometric-sharp of the kernel frame (spans the normals)
+
+    As the owner of leafwise forms it holds, like a chart, the increasing
+    ts_frame index tuples per degree (``increasing``, ``increasing_set``).
     """
 
     __slots__ = (
@@ -71,6 +80,8 @@ class FoliationSplit:
         "g",
         "rank",
         "samples",
+        "increasing",
+        "increasing_set",
         "kernel_frame",
         "perp_frame",
         "ts_frame",
@@ -85,6 +96,7 @@ class FoliationSplit:
         self.g = g
         self.rank = rank
         self.samples = tuple(tuple(p) for p in samples)
+        self.increasing, self.increasing_set = increasing_tuples(rank)
         self.kernel_frame = tuple(kernel_frame)
         self.perp_frame = tuple(perp_frame)
         self.ts_frame = tuple(ts_frame)
@@ -96,10 +108,6 @@ class FoliationSplit:
     @property
     def chart(self):
         return self.pi.chart
-
-    @property
-    def corank(self):
-        return self.chart.dim - self.rank
 
     def frame_matrix(self):
         """Columns ts_frame then h_frame, as an n x n FieldMatrix."""
@@ -142,9 +150,9 @@ class FoliationSplit:
         return [OneForm(self.chart, inv.entries[i]) for i in range(self.chart.dim)]
 
     def decompose_vector(self, X):
-        """Coefficients of X in the (ts_frame, h_frame) basis."""
-        sol = self.frame_matrix().solve(FieldMatrix(self.chart, [[c] for c in X.comps]))
-        return [sol.entry(i, 0) for i in range(self.chart.dim)]
+        """Coefficients of X in the (ts_frame, h_frame) basis: its pairings
+        with the dual coframe."""
+        return [a.pair(X) for a in self.coframe()]
 
 
 def split_cotangent(pi, g, declared_rank, samples):
@@ -171,16 +179,14 @@ def split_cotangent(pi, g, declared_rank, samples):
         found = pim.eval_at(pt).rank()
         if found != r:
             raise RankNotConstant(pt, found, r)
-    generic = pim.rank()
+    kernel_frame = [OneForm(chart, v) for v in pim.kernel_basis()]
+    generic = n - len(kernel_frame)
     if generic != r:
         raise RankNotConstant(None, generic, r)
 
     if r == n:
-        kernel_frame = []
         perp_frame = [OneForm.basis(chart, i) for i in range(n)]
     else:
-        kernel_vecs = pim.kernel_basis()
-        kernel_frame = [OneForm(chart, v) for v in kernel_vecs]
         kg_rows = [g.sharp(kappa).comps for kappa in kernel_frame]
         perp_vecs = FieldMatrix(chart, kg_rows).kernel_basis()
         perp_frame = [OneForm(chart, v) for v in perp_vecs]
@@ -208,55 +214,17 @@ def split_cotangent(pi, g, declared_rank, samples):
 class LeafwiseForm(_Components):
     """Alternating form on the leaf tangents, components on ts_frame tuples.
 
-    Degree rank+1 is allowed as the zero space (no increasing tuples exist),
-    so the leafwise differential of a top-degree form is representable.
+    Its owner is the splitting (``split``), a frame of size rank; the
+    constructor, arithmetic and equality are the coordinate tensors' own
+    (``tensor._Components``).  So degree rank + 1 is the zero space, and the
+    leafwise differential of a top-degree form is representable.
     """
 
-    __slots__ = ("split", "degree", "comps")
-
-    def __init__(self, split, degree, components):
-        r = split.rank
-        if not 0 <= degree <= r + 1:
-            raise DegreeOverflow(f"leafwise degree {degree} outside 0..{r + 1}")
-        comps = {}
-        items = components.items() if isinstance(components, dict) else zip(
-            combinations(range(r), degree), components
-        )
-        for idx, val in items:
-            idx = tuple(idx)
-            if len(idx) != degree or any(
-                not 0 <= i < r for i in idx
-            ) or list(idx) != sorted(set(idx)):
-                raise PoisgeoError(f"bad leafwise index {idx}")
-            if not val.is_zero:
-                comps[idx] = val
-        self.split = split
-        self.degree = degree
-        self.comps = comps
+    __slots__ = ()
 
     @property
-    def chart(self):
-        return self.split.chart
-
-    def __add__(self, other):
-        if not isinstance(other, LeafwiseForm) or other.split is not self.split:
-            return NotImplemented
-        out = dict(self.comps)
-        for k, v in other.comps.items():
-            s = out.get(k)
-            out[k] = v if s is None else s + v
-        return LeafwiseForm(self.split, self.degree, out)
-
-    def __neg__(self):
-        return LeafwiseForm(self.split, self.degree, {k: -v for k, v in self.comps.items()})
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, LeafwiseForm)
-            and self.split is other.split
-            and self.degree == other.degree
-            and self.comps == other.comps
-        )
+    def split(self):
+        return self.owner
 
     def apply_frame_coeffs(self, coeff_rows):
         """Evaluate on leaf vectors given by their ts_frame coefficient rows."""
@@ -578,8 +546,8 @@ def leafwise_d(split, omega, structure=None):
     if p > r:
         raise DegreeOverflow(f"leafwise degree {p} exceeds the rank {r}")
     if p == r:
-        return LeafwiseForm(split, r + 1, {})
+        return _alternating(LeafwiseForm, split, r + 1, {}, split.chart)
     if structure is None:
         structure = _ts_structure_coefficients(split)
     comps = ce_differential(split.chart, split.ts_frame, structure, omega.comps, p, r)
-    return LeafwiseForm(split, p + 1, comps)
+    return _alternating(LeafwiseForm, split, p + 1, comps, split.chart)

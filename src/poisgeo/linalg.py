@@ -89,18 +89,7 @@ class FieldMatrix:
 
     def _cleared_rows(self):
         """Rows as integer-polynomial dicts (each row scaled by its lcm of dens)."""
-        out = []
-        for row in self.entries:
-            lcm = None
-            for e in row:
-                d = e.den_dict()
-                lcm = d if lcm is None else poly_lcm(lcm, d)
-            polys = []
-            for e in row:
-                factor = poly_div_exact(lcm, e.den_dict())
-                polys.append(poly_mul(e.num_dict(), factor))
-            out.append(polys)
-        return out
+        return [_cleared_row(row) for row in self.entries]
 
     @staticmethod
     def _poly_echelon(rows_in):
@@ -143,29 +132,35 @@ class FieldMatrix:
     def kernel_basis(self):
         """Columns spanning ker(M) symbolically, canonically normalized.
 
-        Each vector is a list of ScalarFields scaled to coprime integer
-        polynomials with the first nonzero entry's leading coefficient
-        positive, so frames derived from kernels are deterministic.
+        The vector of free column f is e_f - x, where x solves M x = M e_f
+        with the free variables zero.  Each vector is a list of ScalarFields
+        scaled to coprime integer polynomials with the first nonzero entry's
+        leading coefficient positive, so frames derived from kernels are
+        deterministic.
         """
-        rank, pivot_cols, ech = self._poly_echelon(self._cleared_rows())
-        free_cols = [c for c in range(self.cols) if c not in pivot_cols]
-        chart = self.chart
-        zero = ScalarField.zero(chart)
-        one = ScalarField.one(chart)
+        _, pivot_cols, ech = self._poly_echelon(self._cleared_rows())
         basis = []
-        for f in free_cols:
-            vec = [zero] * self.cols
-            vec[f] = one
-            for r in range(rank - 1, -1, -1):
-                pc = pivot_cols[r]
-                acc = zero
-                for j in range(pc + 1, self.cols):
-                    if ech[r][j] and not vec[j].is_zero:
-                        acc = acc + ScalarField(chart, ech[r][j], chart.one_poly) * vec[j]
-                pivot = ScalarField(chart, ech[r][pc], chart.one_poly)
-                vec[pc] = -acc / pivot
-            basis.append(_normalize_vector(chart, vec))
+        for f in range(self.cols):
+            if f not in pivot_cols:
+                vec = [-x for x in self._back_substitute(ech, pivot_cols, f)]
+                vec[f] = self.chart.one_field
+                basis.append(_normalize_vector(self.chart, vec))
         return basis
+
+    def _back_substitute(self, ech, pivot_cols, rhs_col):
+        """x with M x = b and the free variables zero, from an echelon of M
+        whose column ``rhs_col`` holds b (read only at the pivot rows)."""
+        chart = self.chart
+        vec = [chart.zero_field] * self.cols
+        for r in range(len(pivot_cols) - 1, -1, -1):
+            pc = pivot_cols[r]
+            row = ech[r]
+            acc = ScalarField(chart, row[rhs_col], chart.one_poly)
+            for j in range(pc + 1, self.cols):
+                if row[j] and not vec[j].is_zero:
+                    acc = acc - ScalarField(chart, row[j], chart.one_poly) * vec[j]
+            vec[pc] = acc / ScalarField(chart, row[pc], chart.one_poly)
+        return vec
 
     def solve_with_rank(self, rhs):
         """(rank of M, X) from one echelon of [M | rhs].
@@ -185,18 +180,7 @@ class FieldMatrix:
         sys_pivots = [pc for pc in pivot_cols if pc < self.cols]
         if len(sys_pivots) < len(pivot_cols):
             return len(sys_pivots), None
-        zero = ScalarField.zero(chart)
-        out_cols = []
-        for b in range(rhs.cols):
-            vec = [zero] * self.cols
-            for r in range(len(sys_pivots) - 1, -1, -1):
-                pc = sys_pivots[r]
-                acc = ScalarField(chart, ech[r][self.cols + b], chart.one_poly)
-                for j in range(pc + 1, self.cols):
-                    if ech[r][j] and not vec[j].is_zero:
-                        acc = acc - ScalarField(chart, ech[r][j], chart.one_poly) * vec[j]
-                vec[pc] = acc / ScalarField(chart, ech[r][pc], chart.one_poly)
-            out_cols.append(vec)
+        out_cols = [self._back_substitute(ech, sys_pivots, self.cols + b) for b in range(rhs.cols)]
         return len(sys_pivots), FieldMatrix(chart, list(zip(*out_cols)))
 
     def solve(self, rhs):
@@ -223,15 +207,18 @@ class FieldMatrix:
         return _det(self.chart, self.entries)
 
 
-def _normalize_vector(chart, vec):
-    """Scale a ScalarField vector to coprime integer-polynomial entries."""
+def _cleared_row(fields):
+    """The numerators of a row of fields brought to their lcm denominator."""
     lcm = None
-    for e in vec:
+    for e in fields:
         d = e.den_dict()
         lcm = d if lcm is None else poly_lcm(lcm, d)
-    polys = []
-    for e in vec:
-        polys.append(poly_mul(e.num_dict(), poly_div_exact(lcm, e.den_dict())))
+    return [poly_mul(e.num_dict(), poly_div_exact(lcm, e.den_dict())) for e in fields]
+
+
+def _normalize_vector(chart, vec):
+    """Scale a ScalarField vector to coprime integer-polynomial entries."""
+    polys = _cleared_row(vec)
     g = None
     for p in polys:
         if p:

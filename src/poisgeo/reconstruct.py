@@ -34,7 +34,7 @@ from .errors import (
 )
 from .connection import CoMetric, is_riemann_poisson
 from .foliation import induced_tangent_metric, leafwise_symplectic, split_cotangent
-from .linalg import FieldMatrix, RationalMatrix
+from .linalg import FieldMatrix, RationalMatrix, _cleared_row
 from .poisson import Bivector
 from .polyops import monomials_upto
 from .scalar import ScalarField
@@ -168,14 +168,7 @@ def _coefficient_rows(fields):
     Brings the fields to a common denominator and emits one row per
     monomial of the numerators.
     """
-    from .kernel import poly_mul
-    from .polyops import poly_div_exact, poly_lcm
-
-    lcm = None
-    for f in fields:
-        d = f.den_dict()
-        lcm = d if lcm is None else poly_lcm(lcm, d)
-    numerators = [poly_mul(f.num_dict(), poly_div_exact(lcm, f.den_dict())) for f in fields]
+    numerators = _cleared_row(fields)
     monos = sorted({m for p in numerators for m in p})
     return [[Fraction(p.get(m, 0)) for p in numerators] for m in monos]
 

@@ -24,7 +24,6 @@ from .foliation import TangentMetric
 from .parser import parse_scalar
 from .poisson import Bivector
 from .reconstruct import FoliationInput
-from .scalar import ScalarField
 from .tensor import PForm, VectorField
 
 
@@ -227,15 +226,9 @@ def load_foliation_spec(data, where="foliation spec"):
     g_entries = _load_entries(
         _require(data, "tangent_metric", list, where), chart, where, True
     )
-    n = chart.dim
-    zero = ScalarField.zero(chart)
-    g_matrix = [[zero] * n for _ in range(n)]
-    for (i, j), val in g_entries.items():
-        g_matrix[i][j] = val
-        g_matrix[j][i] = val
-    tangent = TangentMetric(chart, g_matrix)
+    tangent = TangentMetric.from_upper(chart, g_entries)
     omega_entries = _load_entries(_require(data, "omega", list, where), chart, where, False)
-    omega = PForm(chart, 2, {k: v for k, v in omega_entries.items()})
+    omega = PForm(chart, 2, omega_entries)
     samples = _load_samples(data, chart, where)
     return FoliationSpec(name, chart, frame, tangent, omega, samples)
 

@@ -2,11 +2,15 @@
 
 Vectors and 1-forms store one ScalarField per coordinate; higher-degree
 forms and multivectors store one component per strictly increasing
-multi-index, with all sign bookkeeping done by permutation parity.
+multi-index, with all sign bookkeeping done by permutation parity.  That
+alternating-component code (``_Components``) works on any frame that lists
+its increasing index tuples, so leafwise forms on the leaf frame of a
+splitting share it.
 """
 
 from itertools import combinations
 
+from .chart import Chart
 from .errors import (
     ChartMismatch,
     DegreeOverflow,
@@ -203,34 +207,115 @@ class OneForm(_Linear):
         return self._display([f"d{nm}" for nm in self.chart.names])
 
 
-def _alternating(cls, chart, degree, components):
-    """A PForm/PVector from {increasing index tuple: ScalarField on chart}.
+def _alternating(cls, owner, degree, components, chart=None):
+    """A tensor from {increasing index tuple: ScalarField on the chart}.
 
     The trusted constructor of operator results, whose keys come from
-    ``_sort_sign``, from validated operands or from ``chart.increasing``: it
-    drops zero components and checks nothing else.
+    ``_sort_sign``, from validated operands or from ``owner.increasing``: it
+    drops zero components and checks nothing else.  ``chart`` defaults to
+    ``owner``, as for PForm and PVector.
     """
     out = cls.__new__(cls)
-    out.chart = chart
+    out.owner = owner
+    out.chart = owner if chart is None else chart
     out.degree = degree
     out.comps = {k: v for k, v in components.items() if not v.is_zero}
     return out
 
 
 class _Components:
-    """Shared parts of an alternating tensor stored as ``comps``, its nonzero
-    components on increasing index tuples: the coordinate tensors below and
-    ``foliation.LeafwiseForm`` on leaf frame tuples."""
+    """An alternating tensor on a frame of size k, stored as ``comps``: its
+    nonzero ScalarField components on increasing k-frame index tuples.
 
-    __slots__ = ()
+    ``owner`` is the frame: a chart (k = dim) for the coordinate tensors
+    below, a ``foliation.FoliationSplit`` (k = rank, ts_frame tuples) for
+    ``foliation.LeafwiseForm``.  It holds the index tuples per degree as
+    ``increasing`` and ``increasing_set``; the components live on ``chart``.
+    Degrees run over 0..k + 1; degree k + 1 is the zero space, which is where
+    a bivector on a 1-dimensional chart lives.  Tensors of one kind combine
+    only on equal owners (``ChartMismatch``); two splittings are equal only
+    when they are the same object.
+    """
+
+    __slots__ = ("owner", "chart", "degree", "comps")
+
+    def __init__(self, owner, degree, components):
+        chart = owner if isinstance(owner, Chart) else owner.chart
+        k = len(owner.increasing) - 2
+        if not 0 <= degree <= k + 1:
+            raise DegreeOverflow(f"degree {degree} outside 0..{k + 1}")
+        comps = {}
+        if isinstance(components, dict):
+            increasing = owner.increasing_set[degree]
+            for idx, val in components.items():
+                idx = tuple(idx)
+                if idx not in increasing:
+                    raise PoisgeoError(f"index {idx} is not increasing in range")
+                if not val.is_zero:
+                    comps[idx] = val
+        else:
+            idxs = owner.increasing[degree]
+            vals = list(components)
+            if len(vals) != len(idxs):
+                raise PoisgeoError("wrong component count")
+            for idx, val in zip(idxs, vals):
+                if not val.is_zero:
+                    comps[idx] = val
+        for v in comps.values():
+            if v.chart is not chart and v.chart != chart:
+                raise ChartMismatch("component chart mismatch")
+        self.owner = owner
+        self.chart = chart
+        self.degree = degree
+        self.comps = comps
 
     @classmethod
     def zero(cls, owner, degree):
         """The zero tensor of this degree on ``owner`` (a chart, or a splitting)."""
         return cls(owner, degree, {})
 
+    def __add__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        if self.owner is not other.owner and self.owner != other.owner:
+            raise ChartMismatch(f"{self.owner} vs {other.owner}")
+        if self.degree != other.degree:
+            raise PoisgeoError("degree mismatch")
+        out = dict(self.comps)
+        for k, v in other.comps.items():
+            s = out.get(k)
+            out[k] = v if s is None else s + v
+        return _alternating(type(self), self.owner, self.degree, out, self.chart)
+
     def __sub__(self, other):
         return self + (-other)
+
+    def __neg__(self):
+        comps = {k: -v for k, v in self.comps.items()}
+        return _alternating(type(self), self.owner, self.degree, comps, self.chart)
+
+    def __mul__(self, f):
+        if isinstance(f, int):
+            f = ScalarField.constant(self.chart, f)
+        if not isinstance(f, ScalarField):
+            return NotImplemented
+        comps = {k: f * v for k, v in self.comps.items()}
+        return _alternating(type(self), self.owner, self.degree, comps, self.chart)
+
+    __rmul__ = __mul__
+
+    def __eq__(self, other):
+        return (
+            type(other) is type(self)
+            and self.owner == other.owner
+            and self.degree == other.degree
+            and self.comps == other.comps
+        )
+
+    def __hash__(self):
+        return hash(
+            (type(self).__name__, self.owner, self.degree, tuple(sorted(self.comps.items(), key=lambda kv: kv[0])))
+        )
 
     def component(self, idx):
         """Component at a strictly increasing index tuple."""
@@ -262,82 +347,9 @@ class _Components:
 
 
 class _Alternating(_Components):
-    """Shared storage for PForm / PVector: components on increasing multi-indices.
+    """Shared parts of PForm / PVector: alternating tensors on the coordinate frame."""
 
-    Degrees run over 0..dim + 1; degree dim + 1 is the zero space, which is
-    where a bivector on a 1-dimensional chart lives.
-    """
-
-    __slots__ = ("chart", "degree", "comps")
-
-    def __init__(self, chart, degree, components):
-        n = chart.dim
-        if not 0 <= degree <= n + 1:
-            raise DegreeOverflow(f"degree {degree} outside 0..{n + 1}")
-        comps = {}
-        if isinstance(components, dict):
-            increasing = chart.increasing_set[degree]
-            for idx, val in components.items():
-                idx = tuple(idx)
-                if idx not in increasing:
-                    raise PoisgeoError(f"index {idx} is not increasing in range")
-                if not val.is_zero:
-                    comps[idx] = val
-        else:
-            idxs = chart.increasing[degree]
-            vals = list(components)
-            if len(vals) != len(idxs):
-                raise PoisgeoError("wrong component count")
-            for idx, val in zip(idxs, vals):
-                if not val.is_zero:
-                    comps[idx] = val
-        for v in comps.values():
-            if v.chart is not chart and v.chart != chart:
-                raise ChartMismatch("component chart mismatch")
-        self.chart = chart
-        self.degree = degree
-        self.comps = comps
-
-    def __add__(self, other):
-        if type(other) is not type(self):
-            return NotImplemented
-        _same_chart(self, other)
-        if self.degree != other.degree:
-            raise PoisgeoError("degree mismatch")
-        out = dict(self.comps)
-        for k, v in other.comps.items():
-            s = out.get(k)
-            out[k] = v if s is None else s + v
-        return _alternating(type(self), self.chart, self.degree, out)
-
-    def __neg__(self):
-        return _alternating(
-            type(self), self.chart, self.degree, {k: -v for k, v in self.comps.items()}
-        )
-
-    def __mul__(self, f):
-        if isinstance(f, int):
-            f = ScalarField.constant(self.chart, f)
-        if not isinstance(f, ScalarField):
-            return NotImplemented
-        return _alternating(
-            type(self), self.chart, self.degree, {k: f * v for k, v in self.comps.items()}
-        )
-
-    __rmul__ = __mul__
-
-    def __eq__(self, other):
-        return (
-            type(other) is type(self)
-            and self.chart == other.chart
-            and self.degree == other.degree
-            and self.comps == other.comps
-        )
-
-    def __hash__(self):
-        return hash(
-            (type(self).__name__, self.chart, self.degree, tuple(sorted(self.comps.items(), key=lambda kv: kv[0])))
-        )
+    __slots__ = ()
 
     def wedge(self, other):
         if type(other) is not type(self):

@@ -36,8 +36,11 @@ from poisgeo import (
 )
 from poisgeo.cli import run_check_pipeline
 from poisgeo.errors import PoisgeoError
+from poisgeo.foliation import LeafwiseForm, leafwise_d
 from poisgeo.reconstruct import build_structure, validate_input
 from poisgeo.specfile import ManifoldSpec
+
+from test_leafwise_assembly import RANK2_SPLITS, splits  # noqa: F401
 
 CHARTS = {n: Chart(["x", "y", "z"][:n]) for n in (2, 3)}
 
@@ -94,6 +97,26 @@ def test_operator_results_match_the_validating_constructor(data):
     results += [pi.d_pi(Q), lie_derivative_bivector(X, pi.as_pvector())]
     for result in results:
         assert_validated(result)
+
+
+@given(st.data())
+@settings(max_examples=30, deadline=None)
+def test_leafwise_results_match_the_validating_constructor(splits, data):
+    split = splits[data.draw(st.sampled_from(RANK2_SPLITS + ["rank4"]))]
+    p = data.draw(st.integers(0, split.rank))
+
+    def form():
+        idxs = split.increasing[p]
+        return LeafwiseForm(split, p, {i: data.draw(fields(split.chart)) for i in idxs})
+
+    a, a2 = form(), form()
+    results = [a + a2, a - a2, a - a, -a, a * 3, leafwise_d(split, a)]
+    for result in results:
+        assert result.split is split and result.chart is split.chart
+        assert set(result.comps) <= split.increasing_set[result.degree]
+        assert not any(v.is_zero for v in result.comps.values())
+        rebuilt = LeafwiseForm(split, result.degree, dict(result.comps))
+        assert rebuilt == result and rebuilt.comps == result.comps
 
 
 def _corpus_charts():
