@@ -16,6 +16,7 @@ brackets of the coordinate coframe (``Bivector.cotangent_algebroid``) for
 d_pi, the leaf frame and its structure functions for d_F.
 """
 
+from functools import lru_cache
 from itertools import combinations
 from operator import add
 
@@ -34,7 +35,7 @@ from .foliation import (
     leafwise_d,
 )
 from .kernel import grlex_key
-from .linalg import RationalMatrix
+from .linalg import RationalMatrix, sparse_rank
 from .polyops import monomials_upto
 from .scalar import ScalarField
 from .tensor import (
@@ -49,24 +50,42 @@ from .tensor import (
 )
 
 
+# Window shapes kept: a pass of the benchmark's windows uses 37, and a 6-D
+# degree-8 shape (about 60k elements) takes about 8.5 MB.
+_SHAPE_CACHE_SIZE = 64
+
+
+@lru_cache(maxsize=_SHAPE_CACHE_SIZE)
+def _window_shape(dim, frame_size, degree, coeff_bound):
+    """(frames, elements, index) of a window, shared by every window of its shape."""
+    frames = tuple(combinations(range(frame_size), degree))
+    monos = sorted(monomials_upto(dim, coeff_bound), key=grlex_key)
+    elements = tuple((mono, idx) for mono in monos for idx in frames)
+    return frames, elements, {elt: k for k, elt in enumerate(elements)}
+
+
 class _Window:
     """Ordered basis of a window of polynomial cochains on a frame.
 
     Elements are (monomial, increasing frame tuple) pairs, ordered by
     graded-lex monomial of total degree <= coeff_bound, then frame tuple;
     size C(frame size, degree) * C(n + d, d).  ``_cochain`` wraps components.
+    Degree frame size + 1 is the zero space, the target of the differential
+    at the top degree.  ``frames``, ``elements`` and the index depend only on
+    the shape and are shared between windows (``_window_shape``).
     """
 
     __slots__ = ("chart", "degree", "coeff_bound", "frames", "elements", "_index")
 
     def __init__(self, chart, frame_size, degree, coeff_bound):
+        if not 0 <= degree <= frame_size + 1:
+            raise PoisgeoError(f"degree {degree} outside 0..{frame_size + 1}")
         self.chart = chart
         self.degree = degree
         self.coeff_bound = coeff_bound
-        self.frames = list(combinations(range(frame_size), degree))
-        monos = sorted(monomials_upto(chart.dim, coeff_bound), key=grlex_key)
-        self.elements = [(mono, idx) for mono in monos for idx in self.frames]
-        self._index = {elt: k for k, elt in enumerate(self.elements)}
+        self.frames, self.elements, self._index = _window_shape(
+            chart.dim, frame_size, degree, coeff_bound
+        )
 
     def __len__(self):
         return len(self.elements)
@@ -119,20 +138,14 @@ class _Window:
 
 
 class GradedBasis(_Window):
-    """Window of p-multivectors with polynomial coefficients <= degree d.
-
-    Degree dim + 1 is the zero space, the target of d_pi at the top degree.
-    """
+    """Window of p-multivectors with polynomial coefficients <= degree d."""
 
     __slots__ = ()
 
     def __init__(self, chart, degree, coeff_bound):
-        n = chart.dim
-        if not 0 <= degree <= n + 1:
-            raise PoisgeoError(f"degree {degree} outside 0..{n + 1}")
         if coeff_bound < 0:
             raise PoisgeoError("coefficient degree bound must be >= 0")
-        super().__init__(chart, n, degree, coeff_bound)
+        super().__init__(chart, chart.dim, degree, coeff_bound)
 
     def _cochain(self, comps):
         return PVector(self.chart, self.degree, comps)
@@ -210,8 +223,9 @@ class WindowComplex:
         k = len(self.anchors)
         return _terms(ce_differential(self.chart, self.anchors, self.structure, e_idx, len(idx), k))
 
-    def matrix(self, source, target):
-        """Matrix of d between two windows, its columns from the Leibniz rule
+    def columns(self, source, target):
+        """The columns of d between two windows, as sparse {index: value} dicts,
+        from the Leibniz rule
 
             d(x^m e_I) = x^m d(e_I) + sum_a m_a x^(m - e_a) d(x_a) ^ e_I,
 
@@ -231,7 +245,11 @@ class WindowComplex:
                     lower = mono[:a] + (m_a - 1,) + mono[a + 1:]
                     _add_shifted(acc, lower, m_a, leibniz[idx][a])
             cols.append(target.sparse_column(acc))
-        return RationalMatrix.from_columns(cols, len(target))
+        return cols
+
+    def matrix(self, source, target):
+        """Matrix of d between two windows (``columns``)."""
+        return RationalMatrix.from_columns(self.columns(source, target), len(target))
 
     def assemble(self, p, d_in, d_out):
         """(matrix, source, target) of d from the (p, d_in) window into (p+1, d_out)."""
@@ -243,10 +261,13 @@ class WindowComplex:
         target = self.basis(p + 1, d_out)
         return self.matrix(source, target), source, target
 
+    def image_window(self, basis):
+        """The window that holds d of every element of ``basis``."""
+        return self.basis(basis.degree + 1, max(basis.coeff_bound + self.shift, 0))
+
     def cocycle_matrix(self, basis):
         """d out of a window into the window that holds its image."""
-        bound = max(basis.coeff_bound + self.shift, 0)
-        return self.matrix(basis, self.basis(basis.degree + 1, bound))
+        return self.matrix(basis, self.image_window(basis))
 
     def betti(self, p, d, with_representatives=False):
         """dim ker(d | degree p, coeffs <= d) minus the matching image rank.
@@ -254,21 +275,24 @@ class WindowComplex:
         The image is taken from the (p-1)-window whose d lands exactly inside
         coefficient degree d, so kernel and image live in the same space.  The
         kernel is only counted (columns minus rank) unless its representatives,
-        the cocycles completing the image, are asked for.
+        the cocycles completing the image, are asked for; the counts take the
+        ranks of the assembled columns as they are (``linalg.sparse_rank``).
         """
+        k = len(self.anchors)
+        if not 0 <= p <= k:
+            raise PoisgeoError(f"p = {p} outside 0..{k}")
         basis = self.basis(p, d)
-        mat = self.cocycle_matrix(basis)
-        if with_representatives:
-            kernel_cols = mat.kernel_basis()
-            kernel_dim = len(kernel_cols)
-        else:
-            kernel_dim = mat.cols - mat.rank()
         d_pre = d - self.shift
-        if p == 0 or d_pre < 0:
-            image = RationalMatrix.zero(len(basis), 0)
+        pre = None if p == 0 or d_pre < 0 else self.basis(p - 1, d_pre)
+        if with_representatives:
+            kernel_cols = self.cocycle_matrix(basis).kernel_basis()
+            kernel_dim = len(kernel_cols)
+            image = RationalMatrix.zero(len(basis), 0) if pre is None else self.matrix(pre, basis)
+            image_rank = image.rank()
         else:
-            image = self.matrix(self.basis(p - 1, d_pre), basis)
-        image_rank = image.rank()
+            target = self.image_window(basis)
+            kernel_dim = len(basis) - sparse_rank(self.columns(basis, target), len(target))
+            image_rank = 0 if pre is None else sparse_rank(self.columns(pre, basis), len(basis))
         report = {
             "p": p,
             "window_degree": d,
@@ -534,18 +558,20 @@ def thm31_cochain_report(pi, g, split, p, d):
     report["basic_count"] = len(closed)
     report["basic_forms_closed"] = all(closed)
 
+    # leafwise p-forms above the leaf rank are zero: no cocycles, no cohomology
     leaf = _leaf_complex(split, _ts_structure_coefficients(split))
-    source = leaf.basis(p, d)
     pushed_closed = []
-    for vec in leaf.cocycle_matrix(source).kernel_basis():
-        image = pi_pushforward(split, source.from_coordinates(vec))
-        pushed_closed.append(pi.d_pi(image).is_zero)
+    if p <= split.rank:
+        source = leaf.basis(p, d)
+        for vec in leaf.cocycle_matrix(source).kernel_basis():
+            image = pi_pushforward(split, source.from_coordinates(vec))
+            pushed_closed.append(pi.d_pi(image).is_zero)
     report["leaf_cocycle_count"] = len(pushed_closed)
     report["pushforwards_closed"] = all(pushed_closed)
 
     if p == 1:
         betti_pi = truncated_betti(pi, 1, d)["betti"]
-        betti_leaf = leaf.betti(1, d)["betti"]
+        betti_leaf = leaf.betti(1, d)["betti"] if split.rank else 0
         window = GradedBasis(pi.chart, 1, d)
         cols = [
             window.sparse_coordinates_of(f.as_pform())

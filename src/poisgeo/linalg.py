@@ -14,7 +14,7 @@ from fractions import Fraction
 from .errors import ChartMismatch, PoisgeoError, SingularMatrix
 from .kernel import poly_mul, poly_sub
 from .polyops import poly_div_exact, poly_gcd, poly_lcm, poly_lead
-from .scalar import ScalarField
+from .scalar import ScalarField, _is_one
 from .tensor import _det
 
 
@@ -209,6 +209,8 @@ class FieldMatrix:
 
 def _cleared_row(fields):
     """The numerators of a row of fields brought to their lcm denominator."""
+    if all(_is_one(e._den) for e in fields):
+        return [e.num_dict() for e in fields]
     lcm = None
     for e in fields:
         d = e.den_dict()
@@ -245,12 +247,20 @@ def _rational(v):
 
 
 def _int_row(row):
-    """A sparse rational row {col: value} scaled to integers by its denominators' lcm."""
+    """A new sparse integer row {col: value}: ``row`` scaled by its denominators' lcm.
+
+    An all-integer row is copied as it is.
+    """
     lcm = 1
+    ints = True
     for v in row.values():
-        d = v.denominator
-        if d != 1:
-            lcm = lcm * d // math.gcd(lcm, d)
+        if type(v) is not int:
+            ints = False
+            d = v.denominator
+            if d != 1:
+                lcm = lcm * d // math.gcd(lcm, d)
+    if ints:
+        return dict(row)
     return {c: v.numerator * (lcm // v.denominator) for c, v in row.items()}
 
 
@@ -300,6 +310,37 @@ def _insert(pivots, row):
     return False
 
 
+def _echelon(vectors):
+    """The sparse echelon {leading index: primitive integer row} of the vectors."""
+    pivots = {}
+    for vec in vectors:
+        if vec:
+            _insert(pivots, _int_row(vec))
+    return pivots
+
+
+def _transpose(vectors, length):
+    """The transpose of a list of sparse {index: value} vectors of the given length."""
+    out = [{} for _ in range(length)]
+    for j, vec in enumerate(vectors):
+        for i, v in vec.items():
+            out[i][j] = v
+    return out
+
+
+def sparse_rank(vectors, length):
+    """The rank of a list of sparse {index: value} vectors of the given length.
+
+    Each of the (#vectors - rank) dependent vectors is reduced all the way
+    to zero, so the elimination runs on the side with fewer vectors: the
+    vectors themselves when there are no more of them than their length,
+    else their transpose.  The vectors are not changed.
+    """
+    if len(vectors) > length:
+        vectors = _transpose(vectors, length)
+    return len(_echelon(vectors))
+
+
 def _back_reduce(pivots):
     """Reduced row echelon form: every pivot column cleared outside its own row.
 
@@ -321,7 +362,8 @@ class RationalMatrix:
 
     Ranks and kernels come from a sparse fraction-free row echelon: rows are
     cleared to integers and inserted one at a time, each pivot row kept
-    primitive.  Either dimension may be zero.
+    primitive.  A rank eliminates the rows or the columns, whichever are
+    fewer (``sparse_rank``).  Either dimension may be zero.
     """
 
     __slots__ = ("rows", "cols", "_data")
@@ -400,15 +442,8 @@ class RationalMatrix:
             out.append({j: v for j, v in acc.items() if v})
         return RationalMatrix._sparse(out, other.cols)
 
-    def _echelon(self):
-        pivots = {}
-        for row in self._data:
-            if row:
-                _insert(pivots, _int_row(row))
-        return pivots
-
     def rank(self):
-        return len(self._echelon())
+        return sparse_rank(self._data, self.cols)
 
     def kernel_basis(self):
         """Fraction vectors spanning the nullspace, one per free column.
@@ -416,7 +451,7 @@ class RationalMatrix:
         The vector for free column f is 1 at f, 0 at the other free columns,
         and read off the reduced row echelon form at the pivot columns.
         """
-        rref = _back_reduce(self._echelon())
+        rref = _back_reduce(_echelon(self._data))
         zero = Fraction(0)
         one = Fraction(1)
         basis = {}
@@ -438,14 +473,7 @@ class RationalMatrix:
         length ``rows``) is tried against it in turn; a vector that is
         independent is kept, in the echelon and in the result.
         """
-        pivots = {}
-        columns = [{} for _ in range(self.cols)]
-        for i, row in enumerate(self._data):
-            for j, v in row.items():
-                columns[j][i] = v
-        for col in columns:
-            if col:
-                _insert(pivots, _int_row(col))
+        pivots = _echelon(_transpose(self._data, self.cols))
         kept = []
         for vec in vectors:
             if len(vec) != self.rows:
