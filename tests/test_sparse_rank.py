@@ -16,7 +16,7 @@ from poisgeo.linalg import sparse_rank
 
 from dense_elimination import dense_rank
 
-# two in three entries are zero; half of the others are integers
+# about half the entries are zero; the others are ints or Fractions
 ENTRY = st.one_of(
     st.just(0),
     st.just(0),
@@ -45,7 +45,7 @@ def vector_lists(draw):
     rows = draw(st.lists(st.lists(ENTRY, min_size=length, max_size=length),
                          min_size=count, max_size=count))
     if count and length and draw(st.booleans()):
-        # a dependent vector: the sum of the first two (or a copy of the first)
+        # a dependent vector: the sum of the first two (twice the first if alone)
         rows.append([a + b for a, b in zip(rows[0], rows[min(1, count - 1)])])
     return rows, length
 
