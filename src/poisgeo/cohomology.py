@@ -31,7 +31,7 @@ from .foliation import (
     LeafwiseForm,
     _ts_structure_coefficients,
     basic_form_family,
-    casimir_monomials,
+    basic_pform_family,
     leafwise_d,
 )
 from .kernel import grlex_key
@@ -40,7 +40,6 @@ from .polyops import monomials_upto
 from .scalar import ScalarField
 from .tensor import (
     OneForm,
-    PForm,
     PVector,
     _sort_sign,
     ce_differential,
@@ -78,6 +77,8 @@ class _Window:
     __slots__ = ("chart", "degree", "coeff_bound", "frames", "elements", "_index")
 
     def __init__(self, chart, frame_size, degree, coeff_bound):
+        if coeff_bound < 0:
+            raise PoisgeoError("coefficient degree bound must be >= 0")
         if not 0 <= degree <= frame_size + 1:
             raise PoisgeoError(f"degree {degree} outside 0..{frame_size + 1}")
         self.chart = chart
@@ -143,8 +144,6 @@ class GradedBasis(_Window):
     __slots__ = ()
 
     def __init__(self, chart, degree, coeff_bound):
-        if coeff_bound < 0:
-            raise PoisgeoError("coefficient degree bound must be >= 0")
         super().__init__(chart, chart.dim, degree, coeff_bound)
 
     def _cochain(self, comps):
@@ -419,17 +418,15 @@ def pi_pushforward(split, omega):
     """Leafwise form -> multivector: (pi w)(a_1..a_p) = w(pi(a_1), .., pi(a_p))."""
     chart = split.chart
     n = chart.dim
-    r = split.rank
     p = omega.degree
     if p == 0:
         return PVector(chart, 0, {(): omega.component(())})
     sharp_rows = []
     for i in range(n):
-        coeffs = split.decompose_vector(split.pi.sharp_basis(i))
-        for extra in coeffs[r:]:
-            if not extra.is_zero:
-                raise InternalInconsistency("pi image leaves the leaf tangents")
-        sharp_rows.append(coeffs[:r])
+        coeffs = split.leaf_coefficients(split.pi.sharp_basis(i))
+        if coeffs is None:
+            raise InternalInconsistency("pi image leaves the leaf tangents")
+        sharp_rows.append(coeffs)
     comps = {}
     for idx in combinations(range(n), p):
         val = omega.apply_frame_coeffs([sharp_rows[i] for i in idx])
@@ -478,27 +475,6 @@ def sharp_basic(split, omega):
         if not val.is_zero:
             comps[idx] = val
     return PVector(chart, p, comps)
-
-
-def basic_pform_family(pi, g, p, max_degree):
-    """Wedges of p kernel-frame forms times Casimir monomials, filtered basic.
-
-    The p = 0 family is the Casimir monomials themselves (as 0-forms).
-    """
-    chart = pi.chart
-    monos = casimir_monomials(pi, max_degree)
-    if p == 0:
-        return [PForm(chart, 0, {(): m}) for m in monos]
-    kernel_vecs = pi.field_matrix().kernel_basis()
-    kappas = [OneForm(chart, v).as_pform() for v in kernel_vecs]
-    out = []
-    for combo in combinations(range(len(kappas)), p):
-        w = kappas[combo[0]]
-        for i in combo[1:]:
-            w = w.wedge(kappas[i])
-        for m in monos:
-            out.append(m * w)
-    return out
 
 
 def leafwise_degree_shift(split, structure):

@@ -278,14 +278,19 @@ def torsion_defect(D, pi, alpha, beta):
     return D.derivative(alpha, beta) - D.derivative(beta, alpha) - pi.koszul(alpha, beta)
 
 
-def metric_defect(D, g, pi, alpha, beta, gamma_form):
-    """pi(a).<b,c> - <D_a b, c> - <b, D_a c>; identically zero for Levi-Civita."""
-    lead = pi.sharp(alpha).apply_to(g.pairing(beta, gamma_form))
+def _pairing_defect(D, pi, pairing, alpha, beta, gamma_form):
+    """pi(a).T(b,c) - T(D_a b, c) - T(b, D_a c) for the pairing T of two 1-forms."""
+    lead = pi.sharp(alpha).apply_to(pairing(beta, gamma_form))
     return (
         lead
-        - g.pairing(D.derivative(alpha, beta), gamma_form)
-        - g.pairing(beta, D.derivative(alpha, gamma_form))
+        - pairing(D.derivative(alpha, beta), gamma_form)
+        - pairing(beta, D.derivative(alpha, gamma_form))
     )
+
+
+def metric_defect(D, g, pi, alpha, beta, gamma_form):
+    """pi(a).<b,c> - <D_a b, c> - <b, D_a c>; identically zero for Levi-Civita."""
+    return _pairing_defect(D, pi, g.pairing, alpha, beta, gamma_form)
 
 
 def d_pi_tensor(D, pi, alpha, beta, gamma_form):
@@ -293,12 +298,7 @@ def d_pi_tensor(D, pi, alpha, beta, gamma_form):
 
     Dpi(a,b,c) = pi(a).pi(b,c) - pi(D_a b, c) - pi(b, D_a c).
     """
-    lead = pi.sharp(alpha).apply_to(pi.pairing(beta, gamma_form))
-    return (
-        lead
-        - pi.pairing(D.derivative(alpha, beta), gamma_form)
-        - pi.pairing(beta, D.derivative(alpha, gamma_form))
-    )
+    return _pairing_defect(D, pi, pi.pairing, alpha, beta, gamma_form)
 
 
 def _coordinate_defect(D, pi, matrix, i, j, k):

@@ -29,7 +29,7 @@ from .errors import (
     SingularLeafwiseForm,
 )
 from .connection import SymmetricForm, check_positive_definite, levi_civita
-from .linalg import FieldMatrix
+from .linalg import FieldMatrix, annihilator
 from .polyops import monomials_upto
 from .scalar import ScalarField
 from .tensor import (
@@ -154,6 +154,13 @@ class FoliationSplit:
         with the dual coframe."""
         return [a.pair(X) for a in self.coframe()]
 
+    def leaf_coefficients(self, X):
+        """X's ts_frame coefficients, or None when X has a normal (h_frame) part."""
+        coeffs = self.decompose_vector(X)
+        if any(not c.is_zero for c in coeffs[self.rank:]):
+            return None
+        return coeffs[: self.rank]
+
 
 def split_cotangent(pi, g, declared_rank, samples):
     """Compute the cotangent splitting frames and verify regularity.
@@ -179,17 +186,13 @@ def split_cotangent(pi, g, declared_rank, samples):
         found = pim.eval_at(pt).rank()
         if found != r:
             raise RankNotConstant(pt, found, r)
-    kernel_frame = [OneForm(chart, v) for v in pim.kernel_basis()]
+    kernel_frame = pi.kernel_frame()
     generic = n - len(kernel_frame)
     if generic != r:
         raise RankNotConstant(None, generic, r)
 
-    if r == n:
-        perp_frame = [OneForm.basis(chart, i) for i in range(n)]
-    else:
-        kg_rows = [g.sharp(kappa).comps for kappa in kernel_frame]
-        perp_vecs = FieldMatrix(chart, kg_rows).kernel_basis()
-        perp_frame = [OneForm(chart, v) for v in perp_vecs]
+    kg_rows = [g.sharp(kappa).comps for kappa in kernel_frame]
+    perp_frame = [OneForm(chart, v) for v in annihilator(chart, kg_rows)]
     if len(kernel_frame) != n - r or len(perp_frame) != r:
         raise InternalInconsistency("frame dimensions disagree with the declared rank")
 
@@ -234,11 +237,10 @@ class LeafwiseForm(_Components):
         """Evaluate on leaf-tangent vector fields (decomposed into ts_frame)."""
         rows = []
         for X in vectors:
-            coeffs = self.split.decompose_vector(X)
-            for c in coeffs[self.split.rank:]:
-                if not c.is_zero:
-                    raise NotTangent(f"{X!r} is not tangent to the leaves")
-            rows.append(coeffs[: self.split.rank])
+            coeffs = self.split.leaf_coefficients(X)
+            if coeffs is None:
+                raise NotTangent(f"{X!r} is not tangent to the leaves")
+            rows.append(coeffs)
         return self.apply_frame_coeffs(rows)
 
     def as_coordinate_form(self):
@@ -316,11 +318,10 @@ def leaf_connection(D, pi, split):
         row = []
         for c in range(r):
             v = pi.sharp(D.derivative(split.perp_frame[b], split.perp_frame[c]))
-            coeffs = split.decompose_vector(v)
-            for extra in coeffs[r:]:
-                if not extra.is_zero:
-                    raise InternalInconsistency("leaf connection leaves the leaf tangents")
-            row.append(coeffs[:r])
+            coeffs = split.leaf_coefficients(v)
+            if coeffs is None:
+                raise InternalInconsistency("leaf connection leaves the leaf tangents")
+            row.append(coeffs)
         out.append(row)
     return out
 
@@ -476,17 +477,32 @@ def casimir_monomials(pi, max_degree):
     return [f for f in monos if pi.is_casimir(f)]
 
 
+def basic_pform_family(pi, g, p, max_degree):
+    """Candidate basic p-forms: each Casimir monomial times each wedge of p
+    kernel-frame forms, monomial by monomial.
+
+    The candidates are not filtered; ``cohomology.sharp_basic`` raises
+    NotBasic on one that is not basic.  The p = 0 family is the Casimir
+    monomials themselves (as 0-forms).
+    """
+    chart = pi.chart
+    monos = casimir_monomials(pi, max_degree)
+    if p == 0:
+        return [PForm(chart, 0, {(): m}) for m in monos]
+    kappas = [k.as_pform() for k in pi.kernel_frame()]
+    wedges = []
+    for combo in combinations(kappas, p):
+        w = combo[0]
+        for k in combo[1:]:
+            w = w.wedge(k)
+        wedges.append(w)
+    return [m * w for m in monos for w in wedges]
+
+
 def basic_form_family(pi, g, max_degree=2):
     """Kernel-frame forms times Casimir monomials, filtered to basic forms."""
-    split_kernel = pi.field_matrix().kernel_basis()
-    kappas = [OneForm(pi.chart, v) for v in split_kernel]
-    family = []
-    for m in casimir_monomials(pi, max_degree):
-        for kappa in kappas:
-            alpha = m * kappa
-            if is_basic_one_form(pi, alpha):
-                family.append(alpha)
-    return family
+    candidates = (w.as_oneform() for w in basic_pform_family(pi, g, 1, max_degree))
+    return [alpha for alpha in candidates if is_basic_one_form(pi, alpha)]
 
 
 def bundle_like_report(pi, g, split, max_degree=2):
@@ -521,14 +537,10 @@ def _ts_structure_coefficients(split):
     C = [[()] * r for _ in range(r)]
     for b in range(r):
         for c in range(b + 1, r):
-            br = lie_bracket(split.ts_frame[b], split.ts_frame[c])
-            coeffs = split.decompose_vector(br)
-            for extra in coeffs[r:]:
-                if not extra.is_zero:
-                    raise NotTangent(
-                        "leaf frame is not involutive (bivector not Poisson?)"
-                    )
-            C[b][c] = coeffs[:r]
+            coeffs = split.leaf_coefficients(lie_bracket(split.ts_frame[b], split.ts_frame[c]))
+            if coeffs is None:
+                raise NotTangent("leaf frame is not involutive (bivector not Poisson?)")
+            C[b][c] = coeffs
     return C
 
 

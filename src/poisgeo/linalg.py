@@ -207,6 +207,15 @@ class FieldMatrix:
         return _det(self.chart, self.entries)
 
 
+def annihilator(chart, rows):
+    """Component vectors killed by every row (``FieldMatrix.kernel_basis``):
+    the annihilator of a frame given by its components.  With no rows it is
+    every coordinate direction."""
+    if not rows:
+        return FieldMatrix.identity(chart, chart.dim).entries
+    return FieldMatrix(chart, rows).kernel_basis()
+
+
 def _cleared_row(fields):
     """The numerators of a row of fields brought to their lcm denominator."""
     if all(_is_one(e._den) for e in fields):

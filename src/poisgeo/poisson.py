@@ -33,6 +33,7 @@ class Bivector:
 
     __slots__ = (
         "chart", "matrix", "_koszul_table", "_sharp_table", "_algebroid", "_degree_shift",
+        "_kernel_frame",
     )
 
     def __init__(self, chart, matrix):
@@ -54,6 +55,7 @@ class Bivector:
         self._sharp_table = None
         self._algebroid = None
         self._degree_shift = None
+        self._kernel_frame = None
 
     @classmethod
     def from_upper(cls, chart, upper):
@@ -91,6 +93,15 @@ class Bivector:
 
     def field_matrix(self):
         return FieldMatrix(self.chart, self.matrix)
+
+    def kernel_frame(self):
+        """1-forms spanning ker pi generically (``FieldMatrix.kernel_basis``),
+        built once."""
+        if self._kernel_frame is None:
+            self._kernel_frame = tuple(
+                OneForm(self.chart, v) for v in self.field_matrix().kernel_basis()
+            )
+        return self._kernel_frame
 
     def is_polynomial(self):
         return all(e.is_polynomial for row in self.matrix for e in row)

@@ -33,18 +33,28 @@ from .errors import (
     SingularMatrix,
 )
 from .connection import CoMetric, is_riemann_poisson
-from .foliation import induced_tangent_metric, leafwise_symplectic, split_cotangent
-from .linalg import FieldMatrix, RationalMatrix, _cleared_row
+from .foliation import leafwise_symplectic, split_cotangent
+from .linalg import FieldMatrix, RationalMatrix, _cleared_row, annihilator
 from .poisson import Bivector
 from .polyops import monomials_upto
 from .scalar import ScalarField
-from .tensor import OneForm, VectorField, interior_d, lie_bracket, lie_derivative
+from .tensor import (
+    OneForm,
+    VectorField,
+    _sharp,
+    interior_d,
+    interior_vector,
+    lie_bracket,
+    lie_derivative,
+)
 
 
 class FoliationInput:
     """Chart-level data (F, g, omega) for the converse construction."""
 
-    __slots__ = ("chart", "f_frame", "tangent_metric", "omega", "samples", "_orth")
+    __slots__ = (
+        "chart", "f_frame", "tangent_metric", "omega", "samples", "_omega_gram", "_orth", "_f_ann",
+    )
 
     def __init__(self, chart, f_frame, tangent_metric, omega, samples):
         f_frame = tuple(f_frame)
@@ -62,52 +72,48 @@ class FoliationInput:
         self.omega = omega
         self.samples = tuple(as_point(chart, p) for p in samples)
         self._orth = None
+        self._f_ann = None
 
         r = len(f_frame)
         fm = FieldMatrix(chart, [X.comps for X in f_frame])
         for pt in self.samples:
             if fm.eval_at(pt).rank() != r:
                 raise PoisgeoError(f"foliation frame drops rank at {pt}")
-        gram = [[omega.apply([u, v]) for v in f_frame] for u in f_frame]
-        gm = FieldMatrix(chart, gram)
-        for pt in self.samples:
-            if gm.eval_at(pt).rank() != r:
-                raise DegenerateOmegaAt(pt)
+        # the omega Gram matrix on F: entry (u, v) is omega(f_u, f_v)
+        self._omega_gram = FieldMatrix(
+            chart, [[omega.apply([u, v]) for v in f_frame] for u in f_frame]
+        )
+        self._check_omega()
 
     @property
     def rank(self):
         return len(self.f_frame)
 
+    def _check_omega(self):
+        """Raise DegenerateOmegaAt at the first sample where omega is
+        degenerate on the foliation frame."""
+        for pt in self.samples:
+            if self._omega_gram.eval_at(pt).rank() != self.rank:
+                raise DegenerateOmegaAt(pt)
+
     def orthogonal_frame(self):
         """Frame of the g-orthogonal distribution F'."""
         if self._orth is None:
-            g = self.tangent_metric
-            rows = []
-            for X in self.f_frame:
-                rows.append(
-                    [
-                        sum(
-                            (X.comps[i] * g.entry(i, j) for i in range(self.chart.dim)),
-                            ScalarField.zero(self.chart),
-                        )
-                        for j in range(self.chart.dim)
-                    ]
-                )
-            vecs = FieldMatrix(self.chart, rows).kernel_basis()
-            self._orth = tuple(VectorField(self.chart, v) for v in vecs)
+            g = self.tangent_metric.matrix
+            rows = [_sharp(self.chart, g, X).comps for X in self.f_frame]
+            self._orth = tuple(VectorField(self.chart, v) for v in annihilator(self.chart, rows))
         return self._orth
 
     def annihilator_of_f(self):
-        """Forms killing the foliation frame."""
-        vecs = FieldMatrix(self.chart, [X.comps for X in self.f_frame]).kernel_basis()
-        return [OneForm(self.chart, v) for v in vecs]
+        """Forms killing the foliation frame, built once."""
+        if self._f_ann is None:
+            vecs = annihilator(self.chart, [X.comps for X in self.f_frame])
+            self._f_ann = tuple(OneForm(self.chart, v) for v in vecs)
+        return self._f_ann
 
     def annihilator_of_orth(self):
         """Forms killing the orthogonal frame (whole cotangent space if F' = 0)."""
-        orth = self.orthogonal_frame()
-        if not orth:
-            return [OneForm.basis(self.chart, i) for i in range(self.chart.dim)]
-        vecs = FieldMatrix(self.chart, [X.comps for X in orth]).kernel_basis()
+        vecs = annihilator(self.chart, [X.comps for X in self.orthogonal_frame()])
         return [OneForm(self.chart, v) for v in vecs]
 
 
@@ -182,7 +188,6 @@ def validate_input(inp, ansatz_degree=2):
     foliate fields, (e) the bundle-like property of g.  Returns a dict of
     the evidence gathered (perpendicular family size etc.).
     """
-    chart = inp.chart
     r = inp.rank
     ann = inp.annihilator_of_f()
     for i in range(r):
@@ -191,8 +196,6 @@ def validate_input(inp, ansatz_degree=2):
             for kappa in ann:
                 if not kappa.pair(br).is_zero:
                     raise NotInvolutive(i, j)
-    from .tensor import interior_vector
-
     for w in inp.orthogonal_frame():
         if not interior_vector(w, inp.omega).is_zero:
             raise PoisgeoError(
@@ -203,11 +206,7 @@ def validate_input(inp, ansatz_degree=2):
         # d omega(f_a, f_b, f_c), as (i_{f_a} d omega)(f_b, f_c)
         if not interior_d(frame[a], inp.omega).apply([frame[b], frame[c]]).is_zero:
             raise NotLeafwiseClosed(f"d omega nonzero on frame triple {(a, b, c)}")
-    gram = [[inp.omega.apply([u, v]) for v in inp.f_frame] for u in inp.f_frame]
-    gm = FieldMatrix(chart, gram)
-    for pt in inp.samples:
-        if gm.eval_at(pt).rank() != r:
-            raise DegenerateOmegaAt(pt)
+    inp._check_omega()
     family = perpendicular_foliate_family(inp, ansatz_degree)
     for s, X in enumerate(family):
         lx = lie_derivative(X, inp.omega)
@@ -247,13 +246,10 @@ def build_structure(inp):
     B = FieldMatrix(chart, list(zip(*basis_cols)))
     coeffs = B.solve(FieldMatrix.identity(chart, n))
 
-    # leafwise inverse of omega on the orth annihilator frame
-    omega_gram = FieldMatrix(
-        chart, [[inp.omega.apply([u, v]) for u in inp.f_frame] for v in inp.f_frame]
-    )
+    # leafwise inverse of omega on the orth annihilator frame: omega(X_b, f_v) = phi_b(f_v)
     rhs = FieldMatrix(chart, [[phi.pair(v) for phi in orth_ann] for v in inp.f_frame])
     try:
-        inv_coeffs = omega_gram.solve(rhs)
+        inv_coeffs = inp._omega_gram.transpose().solve(rhs)
     except SingularMatrix:
         raise DegenerateOmegaAt(inp.samples[0]) from None
     omega_inverse = []
@@ -317,7 +313,7 @@ def certify(pi, cometric, inp):
     if not is_riemann_poisson(pi, cometric):
         raise CertificationFailed("d_pi_parallel", "Dpi does not vanish")
     f_ann = inp.annihilator_of_f()
-    kernel = pi.field_matrix().kernel_basis()
+    kernel = [k.comps for k in pi.kernel_frame()]
     rank_ann = FieldMatrix(pi.chart, [k.comps for k in f_ann]).rank() if f_ann else 0
     if kernel:
         rank_ker = FieldMatrix(pi.chart, kernel).rank()
@@ -342,7 +338,7 @@ def extract_foliation_input(pi, g, declared_rank, samples):
     symplectic form extended by zero on the normals.
     """
     split = split_cotangent(pi, g, declared_rank, samples)
-    tangent = induced_tangent_metric(pi, g, split)
+    tangent = split.tangent_metric()
     omega = leafwise_symplectic(pi, split).as_coordinate_form()
     return FoliationInput(pi.chart, split.ts_frame, tangent, omega, samples), split
 
