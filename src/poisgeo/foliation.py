@@ -14,6 +14,7 @@ the splitting as their frame, and every frame coefficient is a pairing with
 the one memoised coframe dual to (ts_frame, h_frame).
 """
 
+from functools import reduce
 from itertools import combinations, combinations_with_replacement
 
 from .chart import as_point, increasing_tuples
@@ -478,24 +479,16 @@ def casimir_monomials(pi, max_degree):
 
 
 def basic_pform_family(pi, g, p, max_degree):
-    """Candidate basic p-forms: each Casimir monomial times each wedge of p
-    kernel-frame forms, monomial by monomial.
-
-    The candidates are not filtered; ``cohomology.sharp_basic`` raises
-    NotBasic on one that is not basic.  The p = 0 family is the Casimir
-    monomials themselves (as 0-forms).
-    """
+    """Candidate basic p-forms, unfiltered: each Casimir monomial times each
+    wedge of p kernel-frame forms, monomial by monomial (the p = 0 family is
+    the Casimir monomials as 0-forms).  ``cohomology.sharp_basic`` raises
+    NotBasic on a candidate that is not basic."""
     chart = pi.chart
     monos = casimir_monomials(pi, max_degree)
     if p == 0:
         return [PForm(chart, 0, {(): m}) for m in monos]
     kappas = [k.as_pform() for k in pi.kernel_frame()]
-    wedges = []
-    for combo in combinations(kappas, p):
-        w = combo[0]
-        for k in combo[1:]:
-            w = w.wedge(k)
-        wedges.append(w)
+    wedges = [reduce(PForm.wedge, combo) for combo in combinations(kappas, p)]
     return [m * w for m in monos for w in wedges]
 
 

@@ -95,8 +95,7 @@ class Bivector:
         return FieldMatrix(self.chart, self.matrix)
 
     def kernel_frame(self):
-        """1-forms spanning ker pi generically (``FieldMatrix.kernel_basis``),
-        built once."""
+        """1-forms spanning ker pi generically, one ``kernel_basis`` built once."""
         if self._kernel_frame is None:
             self._kernel_frame = tuple(
                 OneForm(self.chart, v) for v in self.field_matrix().kernel_basis()

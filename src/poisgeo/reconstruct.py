@@ -90,8 +90,7 @@ class FoliationInput:
         return len(self.f_frame)
 
     def _check_omega(self):
-        """Raise DegenerateOmegaAt at the first sample where omega is
-        degenerate on the foliation frame."""
+        """Raise DegenerateOmegaAt at the first sample where omega degenerates on F."""
         for pt in self.samples:
             if self._omega_gram.eval_at(pt).rank() != self.rank:
                 raise DegenerateOmegaAt(pt)
@@ -312,17 +311,13 @@ def certify(pi, cometric, inp):
         raise CertificationFailed("jacobi", "constructed bivector is not Poisson")
     if not is_riemann_poisson(pi, cometric):
         raise CertificationFailed("d_pi_parallel", "Dpi does not vanish")
-    f_ann = inp.annihilator_of_f()
+    f_ann = [k.comps for k in inp.annihilator_of_f()]
     kernel = [k.comps for k in pi.kernel_frame()]
-    rank_ann = FieldMatrix(pi.chart, [k.comps for k in f_ann]).rank() if f_ann else 0
-    if kernel:
-        rank_ker = FieldMatrix(pi.chart, kernel).rank()
-        stacked = FieldMatrix(pi.chart, [k.comps for k in f_ann] + kernel)
-        rank_both = stacked.rank()
-    else:
-        rank_ker = 0
-        rank_both = rank_ann
-    if not (rank_ann == rank_ker == rank_both):
+    # both are kernel bases, so each has full rank: they span one space
+    # exactly when they have one size and stacking them adds no rank
+    stacked = f_ann + kernel
+    rank = FieldMatrix(pi.chart, stacked).rank() if stacked else 0
+    if not len(f_ann) == len(kernel) == rank:
         raise CertificationFailed("kernel_matches_foliation")
     return {
         "poisson": True,

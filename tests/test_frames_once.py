@@ -8,10 +8,20 @@ symbolic elimination, ``FieldMatrix.kernel_basis``.
 
 import pytest
 
-from poisgeo import split_cotangent
+from poisgeo import (
+    Bivector,
+    CoMetric,
+    FoliationInput,
+    PForm,
+    ScalarField,
+    TangentMetric,
+    VectorField,
+    certify,
+    split_cotangent,
+)
 from poisgeo.cli import main
 from poisgeo.cohomology import LeafBasis, leafwise_truncated_betti, truncated_betti
-from poisgeo.errors import PoisgeoError
+from poisgeo.errors import CertificationFailed, PoisgeoError
 from poisgeo.linalg import FieldMatrix
 
 from conftest import corpus_path
@@ -64,3 +74,23 @@ def test_negative_bound_refused_on_both_windows(corpus):
         leafwise_truncated_betti(split, 1, -1)
     with pytest.raises(PoisgeoError, match=message):
         LeafBasis(split, 1, -1)
+
+
+def test_certify_compares_ker_pi_with_the_annihilator(chart3):
+    """pi = dd_x ^ dd_y has ker pi = span(dz): it certifies against the
+    foliation (dd_x, dd_y), and not against (dd_x, dd_z) or, for the zero
+    bivector, against a rank-2 foliation."""
+    one = ScalarField.one(chart3)
+    e = [VectorField.basis(chart3, i) for i in range(3)]
+    samples = [[0, 0, 0], [1, 1, 2]]
+
+    def foliation(a, b):
+        omega = PForm(chart3, 2, {(a, b): one})
+        return FoliationInput(chart3, [e[a], e[b]], TangentMetric.identity(chart3), omega, samples)
+
+    pi = Bivector.from_upper(chart3, {(0, 1): one})
+    g = CoMetric.identity(chart3)
+    assert certify(pi, g, foliation(0, 1))["kernel_matches_foliation"]
+    for bivector, inp in ((pi, foliation(0, 2)), (Bivector.from_upper(chart3, {}), foliation(0, 1))):
+        with pytest.raises(CertificationFailed, match="kernel_matches_foliation"):
+            certify(bivector, g, inp)
