@@ -4,7 +4,7 @@ import re
 from fractions import Fraction
 from itertools import combinations
 
-from .errors import PoisgeoError
+from .errors import IndexOutOfRange, PoisgeoError
 
 _NAME_RE = re.compile(r"[a-zA-Z][a-zA-Z0-9_]*\Z")
 
@@ -66,6 +66,13 @@ class Chart:
 
     def __hash__(self):
         return self._hash
+
+    def coordinate_index(self, i):
+        """``i`` itself when it numbers a coordinate (0 <= i < dim), else
+        IndexOutOfRange: the one range rule of every coordinate-index entry point."""
+        if not 0 <= i < self.dim:
+            raise IndexOutOfRange(f"coordinate index {i} outside 0..{self.dim - 1}")
+        return i
 
     def index(self, name):
         try:

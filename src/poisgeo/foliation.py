@@ -15,7 +15,7 @@ the one memoised coframe dual to (ts_frame, h_frame).
 """
 
 from functools import reduce
-from itertools import combinations, combinations_with_replacement
+from itertools import chain, combinations, combinations_with_replacement
 
 from .chart import as_point, increasing_tuples
 from .errors import (
@@ -40,7 +40,8 @@ from .tensor import (
     _alternating,
     _Components,
     ce_differential,
-    interior_d,
+    d_form,
+    interior_vector,
     lie_bracket,
     lie_derivative_bivector,
 )
@@ -90,6 +91,7 @@ class FoliationSplit:
         "_frame_matrix",
         "_frame_inverse",
         "_tangent_metric",
+        "_pi_lie",
     )
 
     def __init__(self, pi, g, rank, samples, kernel_frame, perp_frame, ts_frame, h_frame):
@@ -105,6 +107,7 @@ class FoliationSplit:
         self._frame_matrix = None
         self._frame_inverse = None
         self._tangent_metric = None
+        self._pi_lie = {}
 
     @property
     def chart(self):
@@ -144,6 +147,14 @@ class FoliationSplit:
         if self._tangent_metric is None:
             self._tangent_metric = induced_tangent_metric(self.pi, self.g, self)
         return self._tangent_metric
+
+    def pi_lie_derivative(self, X):
+        """L_X pi of the splitting's bivector, taken once per vector field: the
+        frame fields' serve both ``invariance_report`` and ``foliate_report``."""
+        lie = self._pi_lie.get(X)
+        if lie is None:
+            lie = self._pi_lie[X] = lie_derivative_bivector(X, self.pi.as_pvector())
+        return lie
 
     def coframe(self):
         """Dual 1-forms of (ts_frame, h_frame), rows of the inverse frame matrix."""
@@ -358,32 +369,36 @@ def basic_one_form_routes(pi, alpha):
     rule [alpha, f beta]_pi = f [alpha, beta]_pi + (pi(alpha).f) beta, the 2n
     generators dx_i and x_j dx_0 capture that quantifier: once [alpha, dx_0]
     vanishes, [alpha, x_j dx_0]_pi = (pi(alpha).x_j) dx_0, so they vanish
-    for all j exactly when pi(alpha) does.
+    for all j exactly when pi(alpha) does.  The 2n brackets share alpha's
+    side (``Bivector.koszul_brackets``) and stop at the first nonzero one.
     """
     chart = pi.chart
     n = chart.dim
     route_a = pi.sharp(alpha).is_zero
     if route_a:
-        for i in range(n):
-            if not interior_d(pi.sharp_basis(i), alpha.as_pform()).is_zero:
-                route_a = False
-                break
-    route_b = all(pi.koszul(alpha, OneForm.basis(chart, i)).is_zero for i in range(n))
-    if route_b:
-        dx0 = OneForm.basis(chart, 0)
-        route_b = all(
-            pi.koszul(alpha, ScalarField.coordinate(chart, j) * dx0).is_zero for j in range(n)
-        )
+        d_alpha = d_form(alpha.as_pform())
+        route_a = all(interior_vector(pi.sharp_basis(i), d_alpha).is_zero for i in range(n))
+    dx0 = OneForm.basis(chart, 0)
+    generators = chain(
+        (OneForm.basis(chart, i) for i in range(n)),
+        (ScalarField.coordinate(chart, j) * dx0 for j in range(n)),
+    )
+    route_b = all(br.is_zero for br in pi.koszul_brackets(alpha, generators))
     return route_a, route_b
 
 
 def is_basic_one_form(pi, alpha):
-    a, b = basic_one_form_routes(pi, alpha)
-    if a != b:
-        raise InternalInconsistency(
-            f"basic-form routes disagree on {alpha!r}: definition={a}, bracket={b}"
-        )
-    return a
+    """Whether alpha is basic, with both routes computed and compared once
+    per distinct form and the verdict kept on the bivector."""
+    verdict = pi.basic_verdicts.get(alpha)
+    if verdict is None:
+        a, b = basic_one_form_routes(pi, alpha)
+        if a != b:
+            raise InternalInconsistency(
+                f"basic-form routes disagree on {alpha!r}: definition={a}, bracket={b}"
+            )
+        verdict = pi.basic_verdicts[alpha] = a
+    return verdict
 
 
 def is_foliate(X, split):
@@ -401,6 +416,7 @@ def foliate_report(pi, g, split, alpha, D=None):
 
     Returns {"basic", "parallel", "foliate", "invariant"}; on a structure
     with vanishing Dpi they agree, otherwise the report just records them.
+    pi is the splitting's bivector.
     """
     if D is None:
         D = levi_civita(pi, g)
@@ -411,7 +427,7 @@ def foliate_report(pi, g, split, alpha, D=None):
     )
     sharp_alpha = g.sharp(alpha)
     foliate = is_foliate(sharp_alpha, split)
-    invariant = lie_derivative_bivector(sharp_alpha, pi.as_pvector()).is_zero
+    invariant = split.pi_lie_derivative(sharp_alpha).is_zero
     return {
         "basic": basic,
         "parallel": parallel,
@@ -434,10 +450,11 @@ def invariance_report(pi, g, split, riemann_poisson):
     * perp_invariance: (L_X pi)(perp_b, perp_c) = 0 for X in the normal
       frame; asserted only on structures with vanishing Dpi, reported
       otherwise.
+
+    pi is the splitting's bivector; each L_X pi is the splitting's memo.
     """
     n = pi.chart.dim
-    pv = pi.as_pvector()
-    lie = [lie_derivative_bivector(X, pv) for X in split.ts_frame + split.h_frame]
+    lie = [split.pi_lie_derivative(X) for X in split.ts_frame + split.h_frame]
     pairs = list(combinations(range(split.rank), 2))
     # (L_X pi)(perp_b, perp_c) is both the bracket check's right-hand side
     # and the perp residual

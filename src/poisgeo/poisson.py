@@ -21,8 +21,8 @@ from .tensor import (
     _alternating,
     _sharp,
     ce_differential,
+    d_form,
     exterior_d,
-    interior_d,
     interior_vector,
     lie_bracket,
 )
@@ -33,7 +33,7 @@ class Bivector:
 
     __slots__ = (
         "chart", "matrix", "_koszul_table", "_sharp_table", "_algebroid", "_degree_shift",
-        "_kernel_frame",
+        "_kernel_frame", "basic_verdicts",
     )
 
     def __init__(self, chart, matrix):
@@ -56,6 +56,8 @@ class Bivector:
         self._algebroid = None
         self._degree_shift = None
         self._kernel_frame = None
+        # {1-form: verdict} of foliation.is_basic_one_form, one per distinct form
+        self.basic_verdicts = {}
 
     @classmethod
     def from_upper(cls, chart, upper):
@@ -124,6 +126,7 @@ class Bivector:
 
     def sharp_basis(self, i):
         """pi_sharp(dx_i), cached."""
+        self.chart.coordinate_index(i)
         if self._sharp_table is None:
             self._sharp_table = tuple(
                 VectorField(self.chart, self.matrix[i]) for i in range(self.chart.dim)
@@ -181,50 +184,66 @@ class Bivector:
 
         Both classical expressions are evaluated:
 
-            L_{pi(alpha)} beta - L_{pi(beta)} alpha - d(pi(alpha, beta))
-            i_{pi(alpha)} d beta - i_{pi(beta)} d alpha + d(pi(alpha, beta))
+            line 1: L_{pi(alpha)} beta - L_{pi(beta)} alpha - d(pi(alpha, beta))
+            line 2: i_{pi(alpha)} d beta - i_{pi(beta)} d alpha + d(pi(alpha, beta))
 
         They agree identically (expand the Lie derivatives with Cartan's
-        formula and use beta(pi(alpha)) = pi(alpha, beta)).  Both share the
-        contractions i_{pi(alpha)} d beta and i_{pi(beta)} d alpha, so what
-        the comparison guards is the exact part, d(beta(pi(alpha))) and
-        d(alpha(pi(beta))) against d(pi(alpha, beta)); a mismatch raises
-        InternalInconsistency.
+        formula and use beta(pi(alpha)) = pi(alpha, beta)).  They share the
+        contractions i_{pi(alpha)} d beta and i_{pi(beta)} d alpha, and d is
+        linear, so line 1 - line 2 is the one derivative
+
+            d(beta(pi(alpha)) - alpha(pi(beta)) - 2 pi(alpha, beta)),
+
+        with pi(alpha, beta) read from ``pairing``.  When it is not zero the
+        two lines disagree and InternalInconsistency is raised; otherwise
+        line 2 is returned.
+        """
+        return next(self.koszul_brackets(alpha, (beta,)))
+
+    def koszul_brackets(self, alpha, betas):
+        """[alpha, beta]_pi for each beta in turn, lazily.
+
+        alpha's side (pi_sharp(alpha) and d alpha) is built once; each
+        bracket is guarded as in ``koszul``.
         """
         _check(self, alpha)
-        _check(self, beta)
-        a, b = alpha.as_pform(), beta.as_pform()
         pa = self.sharp(alpha)
-        pb = self.sharp(beta)
-        d_pair = exterior_d(self.pairing(alpha, beta))
-        ib = interior_d(pa, b)
-        ia = interior_d(pb, a)
-        # line 1 is lie_derivative's Cartan formula with ib and ia reused
-        line1 = (
-            (exterior_d(interior_vector(pa, b)) + ib)
-            - (exterior_d(interior_vector(pb, a)) + ia)
-            - d_pair
-        )
-        line2 = ib - ia + d_pair
-        if line1 != line2:
-            raise InternalInconsistency(
-                f"the two Koszul bracket expressions disagree for {alpha!r}, {beta!r}"
+        da = d_form(alpha.as_pform())
+        for beta in betas:
+            _check(self, beta)
+            pb = self.sharp(beta)
+            pair = self.pairing(alpha, beta)
+            _guard(beta.pair(pa) - alpha.pair(pb) - 2 * pair, alpha, beta)
+            line2 = (
+                interior_vector(pa, d_form(beta.as_pform()))
+                - interior_vector(pb, da)
+                + exterior_d(pair)
             )
-        return line1.as_oneform()
+            yield line2.as_oneform()
 
     def koszul_coordinate(self, i, j):
-        """[dx_i, dx_j]_pi, cached (reduces to d of the matrix entry)."""
+        """[dx_i, dx_j]_pi, from a table built once.
+
+        On coordinate forms ``koszul`` has a closed form: d(dx_j) = 0 and
+        dx_j(pi_sharp(dx_i)) = pi_ij, so line 2 is d(pi(dx_i, dx_j)) and the
+        guard is d(pi_ij - pi_ji - 2 pi(dx_i, dx_j)), with pi(dx_i, dx_j)
+        read from ``pairing``.  Every table entry is guarded, and a nonzero
+        guard raises InternalInconsistency as ``koszul`` does.
+        """
+        chart = self.chart
+        chart.coordinate_index(i)
+        chart.coordinate_index(j)
         if self._koszul_table is None:
-            n = self.chart.dim
+            m = self.matrix
             table = {}
-            for a in range(n):
-                for b in range(a + 1, n):
-                    table[(a, b)] = self.koszul(
-                        OneForm.basis(self.chart, a), OneForm.basis(self.chart, b)
-                    )
+            for a, b in chart.increasing[2]:
+                dxa, dxb = OneForm.basis(chart, a), OneForm.basis(chart, b)
+                pair = self.pairing(dxa, dxb)
+                _guard(m[a][b] - m[b][a] - 2 * pair, dxa, dxb)
+                table[(a, b)] = exterior_d(pair).as_oneform()
             self._koszul_table = table
         if i == j:
-            return OneForm.zero(self.chart)
+            return OneForm.zero(chart)
         if i < j:
             return self._koszul_table[(i, j)]
         return -self._koszul_table[(j, i)]
@@ -287,6 +306,14 @@ class Bivector:
         anchors, brackets = self.cotangent_algebroid()
         comps = ce_differential(chart, anchors, brackets, Q.comps, p, n)
         return _alternating(PVector, chart, p + 1, comps)
+
+
+def _guard(difference, alpha, beta):
+    """Raise unless d(difference), Koszul line 1 - line 2, vanishes."""
+    if not exterior_d(difference).is_zero:
+        raise InternalInconsistency(
+            f"the two Koszul bracket expressions disagree for {alpha!r}, {beta!r}"
+        )
 
 
 def _check(pi, obj):

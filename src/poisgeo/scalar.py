@@ -20,7 +20,6 @@ from .chart import as_point
 from .errors import (
     ChartMismatch,
     DivisionByZeroField,
-    IndexOutOfRange,
     PoleAtPoint,
     PoisgeoError,
 )
@@ -103,10 +102,8 @@ class ScalarField:
 
     @classmethod
     def coordinate(cls, chart, i):
-        n = chart.dim
-        if not 0 <= i < n:
-            raise IndexOutOfRange(f"coordinate index {i} outside 0..{n - 1}")
-        mono = tuple(1 if j == i else 0 for j in range(n))
+        chart.coordinate_index(i)
+        mono = tuple(1 if j == i else 0 for j in range(chart.dim))
         return cls(chart, {mono: 1}, chart.one_poly)
 
     # -- inspection --------------------------------------------------------
@@ -284,9 +281,7 @@ class ScalarField:
 
     def diff(self, i):
         """Partial derivative with respect to coordinate i (quotient rule)."""
-        n = self.chart.dim
-        if not 0 <= i < n:
-            raise IndexOutOfRange(f"coordinate index {i} outside 0..{n - 1}")
+        self.chart.coordinate_index(i)
         dn = poly_diff(self._num, i)
         dd = poly_diff(self._den, i)
         if not dd:

@@ -126,6 +126,7 @@ class _Linear:
 
     @classmethod
     def basis(cls, chart, i):
+        chart.coordinate_index(i)
         z, one = chart.zero_field, chart.one_field
         return cls(chart, tuple(one if j == i else z for j in range(chart.dim)))
 
@@ -500,15 +501,21 @@ def exterior_d(omega):
     return _alternating(PForm, chart, omega.degree + 1, out)
 
 
-def interior_d(X, omega):
-    """i_X d omega; zero when omega has top degree, so that d omega vanishes.
+def d_form(omega):
+    """d omega, with the d of a top-degree form the zero (dim + 1)-form.
 
-    ``exterior_d`` itself refuses a top-degree form, since no PForm has
-    degree dim + 1; its contraction is the zero form of omega's degree.
+    ``exterior_d`` itself refuses a top-degree form; degree dim + 1 is the
+    zero space, so every contraction of this d is the zero form of omega's
+    degree.
     """
     if omega.degree == omega.chart.dim:
-        return PForm.zero(omega.chart, omega.degree)
-    return interior_vector(X, exterior_d(omega))
+        return PForm.zero(omega.chart, omega.degree + 1)
+    return exterior_d(omega)
+
+
+def interior_d(X, omega):
+    """i_X d omega; zero when omega has top degree, so that d omega vanishes."""
+    return interior_vector(X, d_form(omega))
 
 
 def lie_bracket(X, Y):
