@@ -67,12 +67,11 @@ class Chart:
     def __hash__(self):
         return self._hash
 
-    def coordinate_index(self, i):
-        """``i`` itself when it numbers a coordinate (0 <= i < dim), else
-        IndexOutOfRange: the one range rule of every coordinate-index entry point."""
+    def check_index(self, i):
+        """Raise IndexOutOfRange unless 0 <= i < dim: the one range rule of
+        every coordinate-index entry point."""
         if not 0 <= i < self.dim:
             raise IndexOutOfRange(f"coordinate index {i} outside 0..{self.dim - 1}")
-        return i
 
     def index(self, name):
         try:

@@ -126,7 +126,7 @@ class Bivector:
 
     def sharp_basis(self, i):
         """pi_sharp(dx_i), cached."""
-        self.chart.coordinate_index(i)
+        self.chart.check_index(i)
         if self._sharp_table is None:
             self._sharp_table = tuple(
                 VectorField(self.chart, self.matrix[i]) for i in range(self.chart.dim)
@@ -231,8 +231,8 @@ class Bivector:
         guard raises InternalInconsistency as ``koszul`` does.
         """
         chart = self.chart
-        chart.coordinate_index(i)
-        chart.coordinate_index(j)
+        chart.check_index(i)
+        chart.check_index(j)
         if self._koszul_table is None:
             m = self.matrix
             table = {}

@@ -102,7 +102,7 @@ class ScalarField:
 
     @classmethod
     def coordinate(cls, chart, i):
-        chart.coordinate_index(i)
+        chart.check_index(i)
         mono = tuple(1 if j == i else 0 for j in range(chart.dim))
         return cls(chart, {mono: 1}, chart.one_poly)
 
@@ -281,7 +281,7 @@ class ScalarField:
 
     def diff(self, i):
         """Partial derivative with respect to coordinate i (quotient rule)."""
-        self.chart.coordinate_index(i)
+        self.chart.check_index(i)
         dn = poly_diff(self._num, i)
         dd = poly_diff(self._den, i)
         if not dd:

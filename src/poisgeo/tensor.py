@@ -126,7 +126,7 @@ class _Linear:
 
     @classmethod
     def basis(cls, chart, i):
-        chart.coordinate_index(i)
+        chart.check_index(i)
         z, one = chart.zero_field, chart.one_field
         return cls(chart, tuple(one if j == i else z for j in range(chart.dim)))
 

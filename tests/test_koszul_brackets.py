@@ -145,6 +145,6 @@ def test_coordinate_indices_are_range_checked(pi_so3, chart3, bad):
     with pytest.raises(IndexOutOfRange):
         ScalarField.coordinate(chart3, bad)
     with pytest.raises(IndexOutOfRange):
-        chart3.coordinate_index(bad)
+        chart3.check_index(bad)
     assert pi_so3.koszul_coordinate(2, 2).is_zero
     assert pi_so3.sharp_basis(2) == pi_so3.sharp(OneForm.basis(chart3, 2))
