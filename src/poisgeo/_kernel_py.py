@@ -94,15 +94,15 @@ def poly_diff(a, i):
     return out
 
 
-def poly_eval(a, point):
-    """Evaluate at a tuple of rationals (exact).
+def poly_eval_parts(a, point):
+    """(N, D) ints with a(point) = N/D and D > 0, at a tuple of rationals; no gcd.
 
     With x_i = p_i/q_i and d_i the degree of a in x_i,
     a(x) = sum c * prod p_i^e_i q_i^(d_i - e_i) / prod q_i^d_i, so the sum
-    runs in ints and one Fraction is built at the end.
+    runs in ints and D is the product of the q_i^d_i.
     """
     if not a:
-        return Fraction(0)
+        return 0, 1
     n = len(point)
     deg = [0] * n
     for m in a:
@@ -130,7 +130,12 @@ def poly_eval(a, point):
         for i, w in tables:
             c *= w[m[i]]
         total += c
-    return Fraction(total, den)
+    return total, den
+
+
+def poly_eval(a, point):
+    """Evaluate at a tuple of rationals (exact): one Fraction of ``poly_eval_parts``."""
+    return Fraction(*poly_eval_parts(a, point))
 
 
 def grlex_key(m):

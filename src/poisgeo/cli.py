@@ -39,6 +39,7 @@ from .errors import (
     SingularLeafwiseForm,
     SingularMetric,
     SpecFileError,
+    WindowTooLarge,
 )
 from .foliation import (
     bundle_like_report,
@@ -78,7 +79,7 @@ def _witness_sample(field, samples):
     """A sample where the witness expression evaluates to a nonzero rational."""
     for p in samples:
         try:
-            if field.eval_at(p) != 0:
+            if field.parts_at(p)[0]:
                 return [_fraction_str(c) for c in p]
         except PoisgeoError:
             continue
@@ -551,6 +552,7 @@ _INPUT_ERRORS = (
     NonPolynomialBivector,
     InvalidArgument,
     SingularMetric,
+    WindowTooLarge,
 )
 
 _parser = None

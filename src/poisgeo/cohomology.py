@@ -18,6 +18,7 @@ d_pi, the leaf frame and its structure functions for d_F.
 
 from functools import lru_cache
 from itertools import combinations
+from math import comb
 from operator import add
 
 from .errors import (
@@ -25,6 +26,7 @@ from .errors import (
     NonPolynomialBivector,
     NotBasic,
     PoisgeoError,
+    WindowTooLarge,
     WindowTooSmall,
 )
 from .foliation import (
@@ -48,6 +50,11 @@ from .tensor import (
     interior_vector,
 )
 
+
+# The most elements a window may have.  The largest window of the tests and
+# the benchmark (6-D, degree 3, coefficient degree 4) has 4,200; a window
+# this size holds about 28 MB of shape before any matrix is assembled.
+MAX_WINDOW = 200_000
 
 # Window shapes kept: a pass of the benchmark's windows uses 37, and a 6-D
 # degree-8 shape (about 60k elements) takes about 8.5 MB.
@@ -81,6 +88,14 @@ class _Window:
             raise PoisgeoError("coefficient degree bound must be >= 0")
         if not 0 <= degree <= frame_size + 1:
             raise PoisgeoError(f"degree {degree} outside 0..{frame_size + 1}")
+        n = chart.dim
+        size = comb(frame_size, degree) * comb(n + coeff_bound, n)
+        if size > MAX_WINDOW:
+            raise WindowTooLarge(
+                f"the degree-{degree} window of coefficient degree {coeff_bound} has "
+                f"C({frame_size}, {degree}) * C({n + coeff_bound}, {n}) = {size} elements, "
+                f"more than {MAX_WINDOW}"
+            )
         self.chart = chart
         self.degree = degree
         self.coeff_bound = coeff_bound

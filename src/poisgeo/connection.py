@@ -19,7 +19,7 @@ from .errors import (
     PoisgeoError,
     SingularMetric,
 )
-from .linalg import FieldMatrix
+from .linalg import FieldMatrix, scaled_row_at
 from .scalar import ScalarField
 from .tensor import OneForm, _sharp
 
@@ -131,26 +131,50 @@ class CoMetric(SymmetricForm):
 def check_positive_definite(chart, matrix, samples):
     """Sylvester's criterion for a symmetric matrix of fields at every sample.
 
-    One exact elimination per sample, without pivoting: while the earlier
-    pivots are positive, the k-th pivot is the k-th leading minor over the
-    (k-1)-th, so the first pivot that is not positive sits at the first
-    leading minor that is not.  Returns the checked points; raises
-    NotPositiveDefiniteAt with that 0-based index.
+    At each sample the matrix M goes to integers by a congruence: row and
+    column i are scaled by s_i > 0, the lcm of row i's denominators
+    (``linalg.scaled_row_at``), so the k-th leading minor of S M S is the
+    k-th of M times (s_1 ... s_k)^2 and has its sign.  Returns the checked
+    points; raises NotPositiveDefiniteAt with the 0-based index of the first
+    leading minor that is not positive (``_leading_minors``).
     """
-    n = chart.dim
     pts = [as_point(chart, p) for p in samples]
     for pt in pts:
-        m = [[e.eval_at(pt) for e in row] for row in matrix]
-        for k in range(n):
-            pivot = m[k][k]
-            if pivot <= 0:
+        for k, minor in enumerate(_leading_minors(_congruent_rows(matrix, pt))):
+            if minor <= 0:
                 raise NotPositiveDefiniteAt(pt, k)
-            for i in range(k + 1, n):
-                factor = m[i][k] / pivot
-                if factor:
-                    for j in range(k + 1, n):
-                        m[i][j] -= factor * m[k][j]
     return pts
+
+
+def _congruent_rows(matrix, pt):
+    """The integer matrix S M(pt) S of ``check_positive_definite``, as lists."""
+    scaled = [scaled_row_at(row, pt) for row in matrix]
+    scales = [s for s, _ in scaled]
+    return [[v * s for v, s in zip(row, scales)] for _, row in scaled]
+
+
+def _leading_minors(rows):
+    """The leading principal minors of a square integer matrix, in order, up
+    to the first that is not positive.
+
+    Fraction-free elimination without pivoting (Bareiss, Math. Comp. 22,
+    1968): each update is divided exactly by the previous pivot, and the
+    k-th pivot is the k-th leading minor.  ``rows`` is consumed.
+    """
+    n = len(rows)
+    prev = 1
+    for k in range(n):
+        row_k = rows[k]
+        pivot = row_k[k]
+        yield pivot
+        if pivot <= 0:
+            return
+        for i in range(k + 1, n):
+            row_i = rows[i]
+            head = row_i[k]
+            for j in range(k + 1, n):
+                row_i[j] = (pivot * row_i[j] - head * row_k[j]) // prev
+        prev = pivot
 
 
 def _fraction_det(rows):

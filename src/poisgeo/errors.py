@@ -189,6 +189,10 @@ class WindowTooSmall(PoisgeoError):
     """Target coefficient window cannot hold the image of the differential."""
 
 
+class WindowTooLarge(PoisgeoError):
+    """A cohomology window with more elements than ``cohomology.MAX_WINDOW``."""
+
+
 class NonPolynomialBivector(PoisgeoError):
     """Cohomology requested for a bivector with non-polynomial entries."""
 

@@ -195,7 +195,7 @@ def split_cotangent(pi, g, declared_rank, samples):
     pts = [as_point(chart, p) for p in samples]
     pim = pi.field_matrix()
     for pt in pts:
-        found = pim.eval_at(pt).rank()
+        found = pim.rank_at(pt)
         if found != r:
             raise RankNotConstant(pt, found, r)
     kernel_frame = pi.kernel_frame()
@@ -220,7 +220,7 @@ def split_cotangent(pi, g, declared_rank, samples):
     split = FoliationSplit(pi, g, r, pts, kernel_frame, perp_frame, ts_frame, h_frame)
     fm = split.frame_matrix()
     for pt in pts:
-        found = fm.eval_at(pt).rank()
+        found = fm.rank_at(pt)
         if found != n:
             raise RankNotConstant(pt, found, n)
     return split
@@ -288,7 +288,7 @@ def leafwise_symplectic(pi, split):
     if r:
         gm = FieldMatrix(split.chart, gram)
         for pt in split.samples:
-            if gm.eval_at(pt).rank() != r:
+            if gm.rank_at(pt) != r:
                 raise SingularLeafwiseForm(pt)
     return LeafwiseForm(split, 2, comps) if r >= 2 else LeafwiseForm.zero(split, min(2, r))
 

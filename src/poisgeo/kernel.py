@@ -8,6 +8,7 @@ from ._kernel_py import (
     poly_add,
     poly_diff,
     poly_eval,
+    poly_eval_parts,
     poly_lead,
     poly_mul,
     poly_neg,

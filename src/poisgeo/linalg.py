@@ -85,6 +85,15 @@ class FieldMatrix:
     def eval_at(self, point):
         return RationalMatrix([[e.eval_at(point) for e in row] for row in self.entries])
 
+    def rank_at(self, pt):
+        """The rank at a point normalized by ``chart.as_point``, in ints: each
+        row is scaled to integers (``scaled_row_at``) and ranked by ``sparse_rank``."""
+        rows = []
+        for fields in self.entries:
+            _, row = scaled_row_at(fields, pt)
+            rows.append({j: v for j, v in enumerate(row) if v})
+        return sparse_rank(rows, self.cols)
+
     # -- elimination core ----------------------------------------------------
 
     def _cleared_rows(self):
@@ -225,6 +234,14 @@ def _cleared_row(fields):
         d = e.den_dict()
         lcm = d if lcm is None else poly_lcm(lcm, d)
     return [poly_mul(e.num_dict(), poly_div_exact(lcm, e.den_dict())) for e in fields]
+
+
+def scaled_row_at(fields, pt):
+    """(s, row): s > 0 the lcm of the fields' denominators at ``pt`` and row
+    the integers s * f(pt), from ``ScalarField.parts_at`` with no gcd but the lcm's."""
+    parts = [f.parts_at(pt) for f in fields]
+    s = math.lcm(*[d for _, d in parts])
+    return s, [n * (s // d) for n, d in parts]
 
 
 def _normalize_vector(chart, vec):

@@ -77,7 +77,7 @@ class FoliationInput:
         r = len(f_frame)
         fm = FieldMatrix(chart, [X.comps for X in f_frame])
         for pt in self.samples:
-            if fm.eval_at(pt).rank() != r:
+            if fm.rank_at(pt) != r:
                 raise PoisgeoError(f"foliation frame drops rank at {pt}")
         # the omega Gram matrix on F: entry (u, v) is omega(f_u, f_v)
         self._omega_gram = FieldMatrix(
@@ -92,7 +92,7 @@ class FoliationInput:
     def _check_omega(self):
         """Raise DegenerateOmegaAt at the first sample where omega degenerates on F."""
         for pt in self.samples:
-            if self._omega_gram.eval_at(pt).rank() != self.rank:
+            if self._omega_gram.rank_at(pt) != self.rank:
                 raise DegenerateOmegaAt(pt)
 
     def orthogonal_frame(self):

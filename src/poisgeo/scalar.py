@@ -23,7 +23,7 @@ from .errors import (
     PoleAtPoint,
     PoisgeoError,
 )
-from .kernel import poly_add, poly_diff, poly_eval, poly_mul, poly_neg, poly_sub
+from .kernel import poly_add, poly_diff, poly_eval_parts, poly_mul, poly_neg, poly_sub
 from .polyops import (
     poly_cofactors,
     poly_is_const,
@@ -299,13 +299,28 @@ class ScalarField:
                 out = out + c * self.diff(i)
         return out
 
+    def parts_at(self, pt):
+        """(N, D) ints with value N/D and D != 0 at ``pt``, with no gcd.
+
+        ``pt`` is a point normalized by ``chart.as_point``.  A constant field
+        returns its two constants at once; raises PoleAtPoint on a pole.
+        """
+        num, den = self._num, self._den
+        if poly_is_const(den):
+            d = next(iter(den.values()))
+            if poly_is_const(num):
+                return (next(iter(num.values())) if num else 0), d
+            n, e = poly_eval_parts(num, pt)
+            return n, e * d
+        dn, dd = poly_eval_parts(den, pt)
+        if not dn:
+            raise PoleAtPoint(pt)
+        n, e = poly_eval_parts(num, pt)
+        return n * dd, e * dn
+
     def eval_at(self, point):
         """Exact value at a rational point; raises PoleAtPoint on a pole."""
-        pt = as_point(self.chart, point)
-        dv = poly_eval(self._den, pt)
-        if dv == 0:
-            raise PoleAtPoint(pt)
-        return poly_eval(self._num, pt) / dv
+        return Fraction(*self.parts_at(as_point(self.chart, point)))
 
     __call__ = eval_at
 

@@ -89,6 +89,9 @@ class FoliationSpec:
         self.samples = tuple(tuple(Fraction(c) for c in p) for p in samples)
         if not self.samples:
             raise SpecFileError("foliation spec needs at least one sample")
+        for p in self.samples:
+            if len(p) != chart.dim:
+                raise SpecFileError(f"sample {p} has wrong dimension")
         n = chart.dim
         _check_no_poles(
             name,
@@ -113,7 +116,7 @@ def _check_no_poles(name, entries, samples):
             continue
         for p in samples:
             try:
-                field.eval_at(p)
+                field.parts_at(p)
             except PoleAtPoint:
                 point = ", ".join(_fraction_str(c) for c in p)
                 raise SpecFileError(f"{name}: {label} has a pole at sample ({point})") from None

@@ -7,11 +7,13 @@ monomials times the increasing frame tuples, and sharing must not let one
 window change another.
 """
 
+import contextlib
+import io
 from itertools import combinations
 
 import pytest
 
-from poisgeo import Chart, PoisgeoError, PVector, ScalarField, split_cotangent
+from poisgeo import Chart, PoisgeoError, PVector, ScalarField, cli, cohomology, split_cotangent
 from poisgeo.cohomology import (
     GradedBasis,
     LeafBasis,
@@ -19,11 +21,11 @@ from poisgeo.cohomology import (
     leafwise_truncated_betti,
     truncated_betti,
 )
-from poisgeo.errors import WindowTooSmall
+from poisgeo.errors import WindowTooLarge, WindowTooSmall
 from poisgeo.kernel import grlex_key
 from poisgeo.polyops import monomials_upto
 
-from conftest import load_corpus
+from conftest import corpus_path, load_corpus
 
 CHARTS = {n: Chart(["x", "y", "z", "w"][:n]) for n in range(1, 5)}
 
@@ -106,3 +108,40 @@ def test_leaf_degree_checks(split_flat):
         leafwise_truncated_betti(split_flat, 5, 2)
     with pytest.raises(PoisgeoError, match=r"degree 4 outside 0\.\.3"):
         LeafBasis(split_flat, 4, 2)
+
+
+def test_window_size_cap(monkeypatch):
+    """A window is refused by its size, C(frame size, p) * C(n + d, n),
+    before anything is enumerated."""
+    chart = CHARTS[3]
+    assert len(GradedBasis(chart, 1, 2)) == 3 * 10
+    monkeypatch.setattr(cohomology, "MAX_WINDOW", 30)
+    assert len(GradedBasis(chart, 1, 2)) == 30
+    with pytest.raises(WindowTooLarge, match=r"C\(3, 1\) \* C\(6, 3\) = 60 elements, more than 30"):
+        GradedBasis(chart, 1, 3)
+    monkeypatch.setattr(cohomology, "MAX_WINDOW", 5)
+    split = load_split("r3_flat")
+    with pytest.raises(WindowTooLarge):
+        LeafBasis(split, 1, 1)
+
+
+def test_huge_window_refused_through_truncated_betti():
+    pi = load_corpus("so3_star").pi
+    with pytest.raises(WindowTooLarge, match=r"more than 200000"):
+        truncated_betti(pi, 1, 10**8)
+    with pytest.raises(WindowTooLarge):
+        truncated_betti(pi, 1, 400)
+    with pytest.raises(WindowTooLarge):
+        leafwise_truncated_betti(load_split("r3_flat"), 1, 10**8)
+
+
+@pytest.mark.parametrize("flags", [[], ["--json"], ["--thm31"], ["--thm31", "--json"]])
+def test_huge_window_exits_2_with_one_line(flags):
+    argv = ["cohomology", str(corpus_path("so3_star")), "--p", "1", "--degree", "100000000"]
+    stdout, stderr = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+        code = cli.main(argv + flags)
+    assert code == 2
+    assert stdout.getvalue() == ""
+    lines = stderr.getvalue().splitlines()
+    assert len(lines) == 1 and lines[0].startswith("input error: the degree-1 window")
