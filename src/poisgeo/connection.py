@@ -19,7 +19,7 @@ from .errors import (
     PoisgeoError,
     SingularMetric,
 )
-from .linalg import FieldMatrix, scaled_row_at
+from .linalg import FieldMatrix, _scaled_row_at
 from .scalar import ScalarField
 from .tensor import OneForm, _sharp
 
@@ -133,7 +133,7 @@ def check_positive_definite(chart, matrix, samples):
 
     At each sample the matrix M goes to integers by a congruence: row and
     column i are scaled by s_i > 0, the lcm of row i's denominators
-    (``linalg.scaled_row_at``), so the k-th leading minor of S M S is the
+    (``linalg._scaled_row_at``), so the k-th leading minor of S M S is the
     k-th of M times (s_1 ... s_k)^2 and has its sign.  Returns the checked
     points; raises NotPositiveDefiniteAt with the 0-based index of the first
     leading minor that is not positive (``_leading_minors``).
@@ -148,7 +148,7 @@ def check_positive_definite(chart, matrix, samples):
 
 def _congruent_rows(matrix, pt):
     """The integer matrix S M(pt) S of ``check_positive_definite``, as lists."""
-    scaled = [scaled_row_at(row, pt) for row in matrix]
+    scaled = [_scaled_row_at(row, pt) for row in matrix]
     scales = [s for s, _ in scaled]
     return [[v * s for v, s in zip(row, scales)] for _, row in scaled]
 

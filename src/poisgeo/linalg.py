@@ -87,10 +87,10 @@ class FieldMatrix:
 
     def rank_at(self, pt):
         """The rank at a point normalized by ``chart.as_point``, in ints: each
-        row is scaled to integers (``scaled_row_at``) and ranked by ``sparse_rank``."""
+        row is scaled to integers (``_scaled_row_at``) and ranked by ``sparse_rank``."""
         rows = []
         for fields in self.entries:
-            _, row = scaled_row_at(fields, pt)
+            _, row = _scaled_row_at(fields, pt)
             rows.append({j: v for j, v in enumerate(row) if v})
         return sparse_rank(rows, self.cols)
 
@@ -236,7 +236,7 @@ def _cleared_row(fields):
     return [poly_mul(e.num_dict(), poly_div_exact(lcm, e.den_dict())) for e in fields]
 
 
-def scaled_row_at(fields, pt):
+def _scaled_row_at(fields, pt):
     """(s, row): s > 0 the lcm of the fields' denominators at ``pt`` and row
     the integers s * f(pt), from ``ScalarField.parts_at`` with no gcd but the lcm's."""
     parts = [f.parts_at(pt) for f in fields]

@@ -27,7 +27,7 @@ from hypothesis import strategies as st
 from poisgeo import Chart, ScalarField, cli
 from poisgeo.connection import _congruent_rows, _leading_minors, check_positive_definite
 from poisgeo.errors import NotPositiveDefiniteAt, PoleAtPoint
-from poisgeo.linalg import FieldMatrix, RationalMatrix, scaled_row_at
+from poisgeo.linalg import FieldMatrix, RationalMatrix, _scaled_row_at
 
 from conftest import CORPUS_NAMES, corpus_path
 from naive_foliation import naive_positive_definite
@@ -150,14 +150,14 @@ def test_rank_at_is_the_fraction_rank(case):
 
 
 @settings(max_examples=60, deadline=None)
-@given(matrix_and_point(), st.integers(0, 3), st.integers(0, 3))
-def test_rank_at_of_dependent_rows(case, i, j):
+@given(matrix_and_point(), st.integers(0, 3))
+def test_rank_at_of_dependent_rows(case, i):
     """A row repeated with a rational multiple does not add to the rank."""
     chart, m, pt = case
     assume(not has_pole(m, pt))
     src = m[i % len(m)]
-    half = ScalarField.constant(chart, Fraction(-3, 2))
-    fm = FieldMatrix(chart, m + [[half * f for f in src]])
+    k = ScalarField.constant(chart, Fraction(-3, 2))
+    fm = FieldMatrix(chart, m + [[k * f for f in src]])
     assert fm.rank_at(pt) == fm.eval_at(pt).rank() == FieldMatrix(chart, m).rank_at(pt)
 
 
@@ -169,7 +169,7 @@ def test_scaled_row_at_clears_every_denominator():
     fields = [x / (x - one), x / 3, one]
     # at x = 1/2 the unreduced pairs are (2, -2), (1, 6) and (1, 1)
     assert [f.parts_at(pt) for f in fields] == [(2, -2), (1, 6), (1, 1)]
-    s, row = scaled_row_at(fields, pt)
+    s, row = _scaled_row_at(fields, pt)
     assert (s, row) == (6, [-6, 1, 6])
     assert [Fraction(v, s) for v in row] == [Fraction(-1), Fraction(1, 6), Fraction(1)]
 
@@ -317,7 +317,7 @@ def test_every_entry_point_raises_pole_at_point():
     for call in (
         lambda: f.parts_at(pt),
         lambda: f.eval_at(pt),
-        lambda: scaled_row_at([zero, f], pt),
+        lambda: _scaled_row_at([zero, f], pt),
         lambda: FieldMatrix(chart, m).rank_at(pt),
         lambda: FieldMatrix(chart, [[f]]).rank_at(pt),
         lambda: check_positive_definite(chart, m, [(0, 0), pt]),
