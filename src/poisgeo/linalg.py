@@ -1,18 +1,18 @@
 """Exact linear algebra over the rational-function field and over Q.
 
-FieldMatrix entries are ScalarFields; elimination clears each row to
-integer-polynomial form and runs fraction-free (Bareiss-style) reduction,
-so intermediate entries stay polynomial instead of swelling into nested
-fractions.  RationalMatrix is the sparse exact-rational matrix behind the
-cohomology windows: its ranks and kernels come from a sparse fraction-free
-row echelon over Z.
+FieldMatrix entries are ScalarFields, and its one elimination is
+Gauss–Jordan over the field: every intermediate entry is a canonical
+ScalarField, so its common factors cancel as it is built.  Ranks, kernels
+and solutions are read off the reduced row echelon form.  RationalMatrix
+is the sparse exact-rational matrix behind the cohomology windows: its
+ranks and kernels come from a sparse fraction-free row echelon over Z.
 """
 
 import math
 from fractions import Fraction
 
 from .errors import ChartMismatch, PoisgeoError, SingularMatrix
-from .kernel import poly_mul, poly_sub
+from .kernel import poly_mul
 from .polyops import poly_div_exact, poly_gcd, poly_lcm, poly_lead
 from .scalar import ScalarField, _is_one
 from .tensor import _det
@@ -96,101 +96,86 @@ class FieldMatrix:
 
     # -- elimination core ----------------------------------------------------
 
-    def _cleared_rows(self):
-        """Rows as integer-polynomial dicts (each row scaled by its lcm of dens)."""
-        return [_cleared_row(row) for row in self.entries]
+    def _reduced(self, extra=()):
+        """Gauss–Jordan elimination of [M | extra] over the field of fractions.
 
-    @staticmethod
-    def _poly_echelon(rows_in):
-        """Fraction-free echelon over Z[x..]; returns (rank, pivot_cols, rows)."""
-        m = [list(r) for r in rows_in]
-        nrows = len(m)
-        ncols = len(m[0])
-        pivot_cols = []
-        prev = None
-        r = 0
-        for c in range(ncols):
-            p = -1
-            for i in range(r, nrows):
-                if m[i][c]:
-                    p = i
-                    break
-            if p < 0:
+        ``extra`` holds one sequence of fields per row of M.  Each pivot row
+        is divided by its pivot and the pivot column cleared in every other
+        row; pivots are taken only in M's columns.  Returns (pivot columns,
+        rows): the rows are the reduced row echelon form, which is unique.
+        """
+        rows = [list(row) for row in self.entries]
+        for row, more in zip(rows, extra):
+            row.extend(more)
+        width = len(rows[0])
+        zero, one = self.chart.zero_field, self.chart.one_field
+        pivots = []
+        for c in range(self.cols):
+            r = len(pivots)
+            p = next((i for i in range(r, self.rows) if not rows[i][c].is_zero), None)
+            if p is None:
                 continue
-            if p != r:
-                m[r], m[p] = m[p], m[r]
-            pivot = m[r][c]
-            for i in range(r + 1, nrows):
-                head = m[i][c]
-                for j in range(c, ncols):
-                    elt = poly_sub(poly_mul(pivot, m[i][j]), poly_mul(head, m[r][j]))
-                    if prev is not None and elt:
-                        elt = poly_div_exact(elt, prev)
-                    m[i][j] = elt
-            prev = pivot
-            pivot_cols.append(c)
-            r += 1
-            if r == nrows:
+            rows[r], rows[p] = rows[p], rows[r]
+            piv = rows[r]
+            live = [j for j in range(c + 1, width) if not piv[j].is_zero]
+            head = piv[c]
+            for j in live:
+                piv[j] = piv[j] / head
+            piv[c] = one
+            for row in rows:
+                h = row[c]
+                if row is not piv and not h.is_zero:
+                    for j in live:
+                        row[j] = row[j] - h * piv[j]
+                    row[c] = zero
+            pivots.append(c)
+            if len(pivots) == self.rows:
                 break
-        return r, pivot_cols, m
+        return pivots, rows
 
     def rank(self):
-        rank, _, _ = self._poly_echelon(self._cleared_rows())
-        return rank
+        return len(self._reduced()[0])
 
     def kernel_basis(self):
         """Columns spanning ker(M) symbolically, canonically normalized.
 
-        The vector of free column f is e_f - x, where x solves M x = M e_f
-        with the free variables zero.  Each vector is a list of ScalarFields
-        scaled to coprime integer polynomials with the first nonzero entry's
-        leading coefficient positive, so frames derived from kernels are
-        deterministic.
+        The vector of free column f is e_f minus column f of the reduced
+        rows, placed at the pivot columns.  Each vector is a list of
+        ScalarFields scaled to coprime integer polynomials with the first
+        nonzero entry's leading coefficient positive, so frames derived from
+        kernels are deterministic.
         """
-        _, pivot_cols, ech = self._poly_echelon(self._cleared_rows())
+        pivots, rows = self._reduced()
+        chart = self.chart
         basis = []
         for f in range(self.cols):
-            if f not in pivot_cols:
-                vec = [-x for x in self._back_substitute(ech, pivot_cols, f)]
-                vec[f] = self.chart.one_field
-                basis.append(_normalize_vector(self.chart, vec))
+            if f not in pivots:
+                vec = [chart.zero_field] * self.cols
+                vec[f] = chart.one_field
+                for pc, row in zip(pivots, rows):
+                    vec[pc] = -row[f]
+                basis.append(_normalize_vector(chart, vec))
         return basis
 
-    def _back_substitute(self, ech, pivot_cols, rhs_col):
-        """x with M x = b and the free variables zero, from an echelon of M
-        whose column ``rhs_col`` holds b (read only at the pivot rows)."""
-        chart = self.chart
-        vec = [chart.zero_field] * self.cols
-        for r in range(len(pivot_cols) - 1, -1, -1):
-            pc = pivot_cols[r]
-            row = ech[r]
-            acc = ScalarField(chart, row[rhs_col], chart.one_poly)
-            for j in range(pc + 1, self.cols):
-                if row[j] and not vec[j].is_zero:
-                    acc = acc - ScalarField(chart, row[j], chart.one_poly) * vec[j]
-            vec[pc] = acc / ScalarField(chart, row[pc], chart.one_poly)
-        return vec
-
     def solve_with_rank(self, rhs):
-        """(rank of M, X) from one echelon of [M | rhs].
+        """(rank of M, X) from one reduction of [M | rhs].
 
-        The pivots that fall in M's columns are M's own pivots, so their
-        count is M's rank.  X solves M X = rhs with free variables (if any)
-        set to zero; it is None when the system is inconsistent.
+        X solves M X = rhs with free variables (if any) set to zero: the rhs
+        columns of the reduced rows, placed at the pivot columns.  It is None
+        when the system is inconsistent: a row below the rank keeps a nonzero
+        rhs entry.
         """
         if rhs.rows != self.rows:
             raise PoisgeoError("rhs row count mismatch")
         chart = self.chart
-        aug = FieldMatrix(
-            chart,
-            [list(self.entries[i]) + list(rhs.entries[i]) for i in range(self.rows)],
-        )
-        _, pivot_cols, ech = self._poly_echelon(aug._cleared_rows())
-        sys_pivots = [pc for pc in pivot_cols if pc < self.cols]
-        if len(sys_pivots) < len(pivot_cols):
-            return len(sys_pivots), None
-        out_cols = [self._back_substitute(ech, sys_pivots, self.cols + b) for b in range(rhs.cols)]
-        return len(sys_pivots), FieldMatrix(chart, list(zip(*out_cols)))
+        pivots, rows = self._reduced(rhs.entries)
+        rank = len(pivots)
+        if any(not e.is_zero for row in rows[rank:] for e in row[self.cols:]):
+            return rank, None
+        sol = [[chart.zero_field] * rhs.cols for _ in range(self.cols)]
+        for pc, row in zip(pivots, rows):
+            sol[pc] = row[self.cols:]
+        return rank, FieldMatrix(chart, sol)
 
     def solve(self, rhs):
         """Solve M X = rhs; free variables (if any) are set to zero.

@@ -31,6 +31,7 @@ from .errors import (
     NotLeafwiseClosed,
     PoisgeoError,
     SingularMatrix,
+    _fmt_point,
 )
 from .connection import CoMetric, is_riemann_poisson
 from .foliation import leafwise_symplectic, split_cotangent
@@ -78,7 +79,7 @@ class FoliationInput:
         fm = FieldMatrix(chart, [X.comps for X in f_frame])
         for pt in self.samples:
             if fm.rank_at(pt) != r:
-                raise PoisgeoError(f"foliation frame drops rank at {pt}")
+                raise PoisgeoError(f"foliation frame drops rank at {_fmt_point(pt)}")
         # the omega Gram matrix on F: entry (u, v) is omega(f_u, f_v)
         self._omega_gram = FieldMatrix(
             chart, [[omega.apply([u, v]) for v in f_frame] for u in f_frame]

@@ -1,11 +1,15 @@
 """Exact linear algebra over the function field and over Q."""
 
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from poisgeo import Chart, FieldMatrix, RationalMatrix, ScalarField, parse_scalar
 from poisgeo.errors import SingularMatrix
+from poisgeo.polyops import poly_gcd, poly_is_const, poly_lead
 
 import gen
 
@@ -154,3 +158,98 @@ def test_rational_matrix_map_into_zero_space():
     assert empty.kernel_basis() == []
     product = RationalMatrix.from_columns([[1, 2]], 2) @ RationalMatrix.zero(1, 0)
     assert (product.rows, product.cols) == (2, 0)
+
+
+# -- properties of the field elimination, judged by minors -------------------
+
+ENTRIES = [
+    P(s)
+    for s in ("0", "0", "1", "-1", "2/3", "-5/2", "x", "y-1", "z/2", "1/(1+x^2)", "x/(1+y^2)", "(y-z)/(1+x^2)")
+]
+
+
+@st.composite
+def field_rows(draw, rows, cols):
+    """rows x cols entries, some rows made dependent, a row or a column zeroed."""
+    pick = st.sampled_from(ENTRIES)
+    m = [[draw(pick) for _ in range(cols)] for _ in range(rows)]
+    if rows >= 2 and draw(st.booleans()):
+        i, j = draw(st.permutations(range(rows)))[:2]
+        a, b = draw(pick), draw(pick)
+        m[i] = [a * u + b * v for u, v in zip(m[j], m[(j + 1) % rows])]
+    zero = CH3.zero_field
+    if draw(st.booleans()):
+        m[draw(st.integers(0, rows - 1))] = [zero] * cols
+    if draw(st.booleans()):
+        c = draw(st.integers(0, cols - 1))
+        for row in m:
+            row[c] = zero
+    return m
+
+
+@st.composite
+def field_matrices(draw):
+    return FieldMatrix(CH3, draw(field_rows(draw(st.integers(1, 4)), draw(st.integers(1, 4)))))
+
+
+def minor_rank(m):
+    """The size of the largest nonzero minor of the rows ``m``, by determinants."""
+    rows, cols = len(m), len(m[0]) if m else 0
+    for k in range(min(rows, cols), 0, -1):
+        for rs in combinations(range(rows), k):
+            for cs in combinations(range(cols), k):
+                if not FieldMatrix(CH3, [[m[i][j] for j in cs] for i in rs]).det().is_zero:
+                    return k
+    return 0
+
+
+def free_columns(M):
+    """The columns that depend on the ones before them, by minor ranks."""
+    ranks = [0] + [minor_rank([row[: j + 1] for row in M.entries]) for j in range(M.cols)]
+    return [j for j in range(M.cols) if ranks[j + 1] == ranks[j]]
+
+
+@settings(max_examples=60, deadline=None)
+@given(field_matrices())
+def test_field_rank_is_the_largest_nonzero_minor(M):
+    assert M.rank() == minor_rank(M.entries)
+
+
+@settings(max_examples=60, deadline=None)
+@given(field_matrices())
+def test_field_kernel_vectors(M):
+    basis = M.kernel_basis()
+    assert len(basis) == M.cols - minor_rank(M.entries)
+    free = free_columns(M)
+    assert len(free) == len(basis)
+    for f, vec in zip(free, basis):
+        col = FieldMatrix(CH3, [[e] for e in vec])
+        assert (M @ col).is_zero()
+        assert not vec[f].is_zero
+        assert all(vec[g].is_zero for g in free if g != f)
+        # normalized: coprime integer polynomials, first leading coefficient positive
+        assert all(e.den_dict() == CH3.one_poly for e in vec)
+        polys = [e.num_dict() for e in vec if not e.is_zero]
+        g = polys[0]
+        for p in polys[1:]:
+            g = poly_gcd(g, p)
+        assert poly_is_const(g) and abs(next(iter(g.values()))) == 1
+        assert polys[0][poly_lead(polys[0])] > 0
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_field_solve_with_rank(data):
+    M = data.draw(field_matrices())
+    k = data.draw(st.integers(1, 2))
+    if data.draw(st.booleans()):
+        rhs = M @ FieldMatrix(CH3, data.draw(field_rows(M.cols, k)))
+    else:
+        rhs = FieldMatrix(CH3, data.draw(field_rows(M.rows, k)))
+    rank, X = M.solve_with_rank(rhs)
+    assert rank == minor_rank(M.entries)
+    augmented = [a + b for a, b in zip(M.entries, rhs.entries)]
+    assert (X is None) == (minor_rank(augmented) > rank)
+    if X is not None:
+        assert (X.rows, X.cols) == (M.cols, rhs.cols)
+        assert M @ X == rhs
