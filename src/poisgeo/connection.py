@@ -8,6 +8,10 @@ formula
 
 with a, b, c running over coordinate forms, then extended to arbitrary
 1-forms by D_{f a} b = f D_a b and D_a (f b) = f D_a b + (pi(a).f) b.
+
+The cometric is a symmetric ``linalg.BilinearForm`` (``SymmetricForm``,
+which ``foliation.TangentMetric`` shares): its constructor, entries and
+pairing are the bivector's.
 """
 
 from fractions import Fraction
@@ -19,75 +23,24 @@ from .errors import (
     PoisgeoError,
     SingularMetric,
 )
-from .linalg import FieldMatrix, _scaled_row_at
+from .linalg import BilinearForm, FieldMatrix, _scaled_row_at
 from .scalar import ScalarField
 from .tensor import OneForm, _sharp
 
 
-class SymmetricForm:
-    """Symmetric n x n matrix of ScalarFields, the bilinear form it defines.
+class SymmetricForm(BilinearForm):
+    """A symmetric ``linalg.BilinearForm``.
 
     ``CoMetric`` pairs 1-forms with it, ``foliation.TangentMetric`` vectors.
     """
 
-    __slots__ = ("chart", "matrix")
+    __slots__ = ()
     noun = "symmetric form"
-
-    def __init__(self, chart, matrix):
-        matrix = tuple(tuple(row) for row in matrix)
-        n = chart.dim
-        if len(matrix) != n or any(len(r) != n for r in matrix):
-            raise PoisgeoError(f"{self.noun} must be {n}x{n}")
-        for i in range(n):
-            for j in range(i, n):
-                if matrix[i][j] != matrix[j][i]:
-                    raise NotSymmetric(f"entries ({i},{j}) and ({j},{i}) differ")
-        self.chart = chart
-        self.matrix = matrix
-
-    @classmethod
-    def from_upper(cls, chart, upper):
-        """Build from {(i, j): ScalarField} with i <= j; missing entries are 0."""
-        n = chart.dim
-        zero = ScalarField.zero(chart)
-        m = [[zero] * n for _ in range(n)]
-        for (i, j), val in upper.items():
-            if not 0 <= i <= j < n:
-                raise PoisgeoError(f"bad upper-triangular index {(i, j)}")
-            m[i][j] = val
-            m[j][i] = val
-        return cls(chart, m)
+    symmetry = 1
 
     @classmethod
     def identity(cls, chart):
         return cls(chart, FieldMatrix.identity(chart, chart.dim).entries)
-
-    def entry(self, i, j):
-        return self.matrix[i][j]
-
-    def __eq__(self, other):
-        return (
-            type(other) is type(self)
-            and self.chart == other.chart
-            and self.matrix == other.matrix
-        )
-
-    def __hash__(self):
-        return hash((self.chart, self.matrix))
-
-    def field_matrix(self):
-        return FieldMatrix(self.chart, self.matrix)
-
-    def pairing(self, u, v):
-        """sum_ij u_i matrix[i][j] v_j, for two 1-forms or two vector fields."""
-        out = self.chart.zero_field
-        for a, row in zip(u.comps, self.matrix):
-            if a.is_zero:
-                continue
-            for g, b in zip(row, v.comps):
-                if not (g.is_zero or b.is_zero):
-                    out = out + a * g * b
-        return out
 
 
 class CoMetric(SymmetricForm):
@@ -104,7 +57,7 @@ class CoMetric(SymmetricForm):
 
     def sharp(self, alpha):
         """The metric identification T*P -> TP: beta(sharp(alpha)) = <alpha, beta>."""
-        return _sharp(self.chart, self.matrix, alpha)
+        return _sharp(self, alpha)
 
     def validate(self, samples):
         """Symmetry symbolically plus Sylvester positivity at every sample.

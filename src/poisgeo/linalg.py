@@ -6,16 +6,22 @@ ScalarField, so its common factors cancel as it is built.  Ranks, kernels
 and solutions are read off the reduced row echelon form.  RationalMatrix
 is the sparse exact-rational matrix behind the cohomology windows: its
 ranks and kernels come from a sparse fraction-free row echelon over Z.
+
+BilinearForm is the n x n matrix of fields that the bivector and both
+metrics are: one constructor checks its shape, its symmetry (+1) or
+antisymmetry (-1) and its chart, and one ``pairing`` contracts it with two
+operands.  Every unsigned sum of products of fields here, as in ``tensor``,
+goes through ``scalar._dot``.
 """
 
 import math
 from fractions import Fraction
 
-from .errors import ChartMismatch, PoisgeoError, SingularMatrix
+from .errors import ChartMismatch, NotSymmetric, PoisgeoError, SingularMatrix
 from .kernel import poly_mul
 from .polyops import poly_div_exact, poly_gcd, poly_lcm, poly_lead
-from .scalar import ScalarField, _is_one
-from .tensor import _det
+from .scalar import ScalarField, _dot, _is_one
+from .tensor import _det, _same_chart
 
 
 class FieldMatrix:
@@ -54,20 +60,10 @@ class FieldMatrix:
     def __matmul__(self, other):
         if self.cols != other.rows:
             raise PoisgeoError("shape mismatch in matrix product")
-        zero = ScalarField.zero(self.chart)
-        out = []
-        for i in range(self.rows):
-            row = []
-            for j in range(other.cols):
-                acc = zero
-                for k in range(self.cols):
-                    a = self.entries[i][k]
-                    b = other.entries[k][j]
-                    if not (a.is_zero or b.is_zero):
-                        acc = acc + a * b
-                row.append(acc)
-            out.append(row)
-        return FieldMatrix(self.chart, out)
+        chart = self.chart
+        cols = list(zip(*other.entries))
+        out = [[_dot(chart, zip(row, col)) for col in cols] for row in self.entries]
+        return FieldMatrix(chart, out)
 
     def __eq__(self, other):
         return (
@@ -199,6 +195,79 @@ class FieldMatrix:
         if self.rows != self.cols:
             raise PoisgeoError("determinant needs a square matrix")
         return _det(self.chart, self.entries)
+
+
+class BilinearForm:
+    """An n x n matrix M of ScalarFields on a chart and the bilinear form
+    sum_ij u_i M_ij v_j it defines.
+
+    Subclasses set ``noun``, the name errors give the matrix, and
+    ``symmetry``: +1 for a symmetric M, -1 for an antisymmetric one (zero
+    diagonal included).  ``poisson.Bivector`` is antisymmetric;
+    ``connection.SymmetricForm`` (the cometric and the tangent metric) is
+    symmetric.
+    """
+
+    __slots__ = ("chart", "matrix")
+
+    def __init__(self, chart, matrix):
+        matrix = tuple(tuple(row) for row in matrix)
+        n = chart.dim
+        if len(matrix) != n or any(len(r) != n for r in matrix):
+            raise PoisgeoError(f"{self.noun} must be {n}x{n}")
+        kind = "symmetric" if self.symmetry > 0 else "antisymmetric"
+        for i, row in enumerate(matrix):
+            for j in range(i, n):
+                e = row[j]
+                if e.chart is not chart and e.chart != chart:
+                    raise ChartMismatch(f"{self.noun} entry ({i},{j}) is not on {chart}")
+                if matrix[j][i] != (e if self.symmetry > 0 else -e):
+                    raise NotSymmetric(f"{self.noun} is not {kind} at ({i},{j})")
+        self.chart = chart
+        self.matrix = matrix
+
+    @classmethod
+    def from_upper(cls, chart, upper):
+        """Build from {(i, j): ScalarField} with i <= j, or i < j when
+        antisymmetric; missing entries are 0."""
+        n = chart.dim
+        m = [[chart.zero_field] * n for _ in range(n)]
+        for (i, j), val in upper.items():
+            if not 0 <= i <= j < n or (i == j and cls.symmetry < 0):
+                raise PoisgeoError(f"bad upper-triangular index {(i, j)}")
+            m[i][j] = val
+            m[j][i] = val if cls.symmetry > 0 else -val
+        return cls(chart, m)
+
+    def entry(self, i, j):
+        return self.matrix[i][j]
+
+    def __eq__(self, other):
+        return (
+            type(other) is type(self)
+            and self.chart == other.chart
+            and self.matrix == other.matrix
+        )
+
+    def __hash__(self):
+        return hash((self.chart, self.matrix))
+
+    def field_matrix(self):
+        return FieldMatrix(self.chart, self.matrix)
+
+    def pairing(self, u, v):
+        """sum_i u_i (sum_j M_ij v_j) for two operands on the chart: 1-forms
+        for a form on T*P, vector fields for a metric on TP.  A row sum is
+        taken only where u_i is not zero."""
+        _same_chart(self, u)
+        _same_chart(self, v)
+        chart = self.chart
+        rows = (
+            (a, _dot(chart, zip(row, v.comps)))
+            for a, row in zip(u.comps, self.matrix)
+            if not a.is_zero
+        )
+        return _dot(chart, rows)
 
 
 def annihilator(chart, rows):

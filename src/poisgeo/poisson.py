@@ -7,18 +7,23 @@ Sign conventions follow beta(pi_sharp(alpha)) = pi(alpha, beta), so for the
 standard plane structure pi = dd_x ^ dd_y one gets pi_sharp(dx) = dd_y and
 pi_sharp(dy) = -dd_x.  A consequence worth remembering: the degree-0
 coboundary is d_pi f = -pi_sharp(df).
+
+A Bivector is the antisymmetric ``linalg.BilinearForm``: its constructor,
+``from_upper``, equality and ``pairing`` pi(alpha, beta) are the ones the
+metrics share.
 """
 
 from itertools import combinations
 
-from .errors import ChartMismatch, InternalInconsistency, PoisgeoError
-from .linalg import FieldMatrix
+from .errors import InternalInconsistency, PoisgeoError
+from .linalg import BilinearForm
 from .scalar import ScalarField
 from .tensor import (
     OneForm,
     PVector,
     VectorField,
     _alternating,
+    _same_chart,
     _sharp,
     ce_differential,
     d_form,
@@ -28,29 +33,19 @@ from .tensor import (
 )
 
 
-class Bivector:
-    """Antisymmetric matrix of ScalarFields; entry(i, j) = pi(dx_i, dx_j)."""
+class Bivector(BilinearForm):
+    """An antisymmetric ``linalg.BilinearForm`` on T*P: entry(i, j) =
+    pi(dx_i, dx_j), and ``pairing(alpha, beta)`` = pi(alpha, beta)."""
 
     __slots__ = (
-        "chart", "matrix", "_koszul_table", "_sharp_table", "_algebroid", "_degree_shift",
+        "_koszul_table", "_sharp_table", "_algebroid", "_degree_shift",
         "_kernel_frame", "basic_verdicts",
     )
+    noun = "bivector matrix"
+    symmetry = -1
 
     def __init__(self, chart, matrix):
-        matrix = tuple(tuple(row) for row in matrix)
-        n = chart.dim
-        if len(matrix) != n or any(len(r) != n for r in matrix):
-            raise PoisgeoError(f"bivector matrix must be {n}x{n}")
-        for i in range(n):
-            if not matrix[i][i].is_zero:
-                raise PoisgeoError("bivector matrix must have zero diagonal")
-            for j in range(i + 1, n):
-                if matrix[i][j] != -matrix[j][i]:
-                    raise PoisgeoError("bivector matrix must be antisymmetric")
-                if matrix[i][j].chart != chart:
-                    raise ChartMismatch("entry chart mismatch")
-        self.chart = chart
-        self.matrix = matrix
+        super().__init__(chart, matrix)
         self._koszul_table = None
         self._sharp_table = None
         self._algebroid = None
@@ -59,32 +54,6 @@ class Bivector:
         # {1-form: verdict} of foliation.is_basic_one_form, one per distinct form
         self.basic_verdicts = {}
 
-    @classmethod
-    def from_upper(cls, chart, upper):
-        """Build from {(i, j): ScalarField} with i < j."""
-        n = chart.dim
-        zero = ScalarField.zero(chart)
-        m = [[zero] * n for _ in range(n)]
-        for (i, j), val in upper.items():
-            if not 0 <= i < j < n:
-                raise PoisgeoError(f"bad upper-triangular index {(i, j)}")
-            m[i][j] = val
-            m[j][i] = -val
-        return cls(chart, m)
-
-    def entry(self, i, j):
-        return self.matrix[i][j]
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, Bivector)
-            and self.chart == other.chart
-            and self.matrix == other.matrix
-        )
-
-    def __hash__(self):
-        return hash((self.chart, self.matrix))
-
     def as_pvector(self):
         n = self.chart.dim
         return PVector(
@@ -92,9 +61,6 @@ class Bivector:
             2,
             {(i, j): self.matrix[i][j] for i, j in combinations(range(n), 2)},
         )
-
-    def field_matrix(self):
-        return FieldMatrix(self.chart, self.matrix)
 
     def kernel_frame(self):
         """1-forms spanning ker pi generically, one ``kernel_basis`` built once."""
@@ -121,8 +87,7 @@ class Bivector:
 
     def sharp(self, alpha):
         """pi_sharp(alpha): the vector V with beta(V) = pi(alpha, beta)."""
-        _check(self, alpha)
-        return _sharp(self.chart, self.matrix, alpha)
+        return _sharp(self, alpha)
 
     def sharp_basis(self, i):
         """pi_sharp(dx_i), cached."""
@@ -132,12 +97,6 @@ class Bivector:
                 VectorField(self.chart, self.matrix[i]) for i in range(self.chart.dim)
             )
         return self._sharp_table[i]
-
-    def pairing(self, alpha, beta):
-        """pi(alpha, beta) for 1-forms."""
-        _check(self, alpha)
-        _check(self, beta)
-        return beta.pair(self.sharp(alpha))
 
     def bracket(self, f, g):
         """Function bracket {f, g} = pi(df, dg)."""
@@ -206,11 +165,11 @@ class Bivector:
         alpha's side (pi_sharp(alpha) and d alpha) is built once; each
         bracket is guarded as in ``koszul``.
         """
-        _check(self, alpha)
+        _same_chart(self, alpha)
         pa = self.sharp(alpha)
         da = d_form(alpha.as_pform())
         for beta in betas:
-            _check(self, beta)
+            _same_chart(self, beta)
             pb = self.sharp(beta)
             pair = self.pairing(alpha, beta)
             _guard(beta.pair(pa) - alpha.pair(pb) - 2 * pair, alpha, beta)
@@ -297,7 +256,7 @@ class Bivector:
             Q = PVector(self.chart, 0, {(): Q})
         if isinstance(Q, VectorField):
             Q = Q.as_pvector()
-        _check(self, Q)
+        _same_chart(self, Q)
         chart = self.chart
         n = chart.dim
         p = Q.degree
@@ -314,9 +273,4 @@ def _guard(difference, alpha, beta):
         raise InternalInconsistency(
             f"the two Koszul bracket expressions disagree for {alpha!r}, {beta!r}"
         )
-
-
-def _check(pi, obj):
-    if obj.chart is not pi.chart and obj.chart != pi.chart:
-        raise ChartMismatch("operand chart differs from the bivector chart")
 

@@ -99,8 +99,7 @@ class FoliationInput:
     def orthogonal_frame(self):
         """Frame of the g-orthogonal distribution F'."""
         if self._orth is None:
-            g = self.tangent_metric.matrix
-            rows = [_sharp(self.chart, g, X).comps for X in self.f_frame]
+            rows = [_sharp(self.tangent_metric, X).comps for X in self.f_frame]
             self._orth = tuple(VectorField(self.chart, v) for v in annihilator(self.chart, rows))
         return self._orth
 

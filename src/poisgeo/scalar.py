@@ -59,6 +59,16 @@ def _reciprocal(f):
     return _field(f.chart, num, den)
 
 
+def _dot(chart, pairs):
+    """The sum of a * b over the (a, b) pairs, left to right, skipping any
+    pair with a zero factor; the zero field when nothing is left."""
+    out = chart.zero_field
+    for a, b in pairs:
+        if not (a.is_zero or b.is_zero):
+            out = out + a * b
+    return out
+
+
 class ScalarField:
     """Immutable exact rational function on a chart."""
 
@@ -291,13 +301,10 @@ class ScalarField:
 
     def derivative_along(self, components):
         """Directional derivative sum(components[i] * d/dx_i); zero at once on a constant."""
-        out = self.chart.zero_field
         if self.is_constant:
-            return out
-        for i, c in enumerate(components):
-            if not c.is_zero:
-                out = out + c * self.diff(i)
-        return out
+            return self.chart.zero_field
+        terms = ((c, self.diff(i)) for i, c in enumerate(components) if not c.is_zero)
+        return _dot(self.chart, terms)
 
     def parts_at(self, pt):
         """(N, D) ints with value N/D and D != 0 at ``pt``, with no gcd.

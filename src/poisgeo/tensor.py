@@ -17,7 +17,7 @@ from .errors import (
     DegreeUnderflow,
     PoisgeoError,
 )
-from .scalar import ScalarField
+from .scalar import ScalarField, _dot
 
 
 def _same_chart(a, b):
@@ -76,16 +76,13 @@ def ce_differential(chart, anchors, structure, cochain, p, frame_size):
     return out
 
 
-def _sharp(chart, matrix, alpha):
-    """The vector field sum_ij alpha_i matrix[i][j] dd_j of a 1-form and a matrix."""
-    comps = []
-    for column in zip(*matrix):
-        acc = chart.zero_field
-        for a, m in zip(alpha.comps, column):
-            if not (a.is_zero or m.is_zero):
-                acc = acc + a * m
-        comps.append(acc)
-    return VectorField(chart, comps)
+def _sharp(form, alpha):
+    """The vector field sum_ij alpha_i M_ij dd_j: an operand's components
+    contracted with the first index of a bilinear form's matrix M
+    (``linalg.BilinearForm``), both on one chart."""
+    _same_chart(form, alpha)
+    chart = form.chart
+    return VectorField(chart, [_dot(chart, zip(alpha.comps, col)) for col in zip(*form.matrix)])
 
 
 def _det(chart, rows):
@@ -193,11 +190,7 @@ class OneForm(_Linear):
     def pair(self, X):
         """alpha(X)."""
         _same_chart(self, X)
-        out = ScalarField.zero(self.chart)
-        for a, v in zip(self.comps, X.comps):
-            if not (a.is_zero or v.is_zero):
-                out = out + a * v
-        return out
+        return _dot(self.chart, zip(self.comps, X.comps))
 
     __call__ = pair
 
@@ -338,13 +331,11 @@ class _Components:
     def _apply(self, rows):
         """Multilinear alternating evaluation given the argument component rows."""
         chart = self.chart
-        total = ScalarField.zero(chart)
-        for idx, c in self.comps.items():
-            mat = [[row[i] for i in idx] for row in rows]
-            d = _det(chart, mat)
-            if not d.is_zero:
-                total = total + c * d
-        return total
+        dets = (
+            (c, _det(chart, [[row[i] for i in idx] for row in rows]))
+            for idx, c in self.comps.items()
+        )
+        return _dot(chart, dets)
 
 
 class _Alternating(_Components):
@@ -380,13 +371,12 @@ class _Alternating(_Components):
         sign, key = _sort_sign(rest_indices)
         if sign == 0:
             return self.chart.zero_field
-        out = ScalarField.zero(self.chart)
-        for m, cm in enumerate(cov.comps):
-            if cm.is_zero:
-                continue
-            val = self.component_signed((m,) + key)
-            if not val.is_zero:
-                out = out + cm * val
+        terms = (
+            (cm, self.component_signed((m,) + key))
+            for m, cm in enumerate(cov.comps)
+            if not cm.is_zero
+        )
+        out = _dot(self.chart, terms)
         return out if sign == 1 else -out
 
     def _interior_first(self, cov):
