@@ -4,12 +4,13 @@
 distinct form and keeps the verdict on the bivector; the splitting keeps
 L_X pi of each vector field, so ``invariance_report`` and
 ``foliate_report`` share the normal frame's.  The counts wrap
-``foliation.basic_one_form_routes`` and ``foliation.lie_derivative_bivector``.
+``foliation.basic_one_form_routes`` and ``foliation.lie_derivative_bivector``,
+and the pi_sharp calls inside each route call wrap ``Bivector.sharp``.
 """
 
 import pytest
 
-from poisgeo import OneForm, ScalarField, foliation, is_basic_one_form
+from poisgeo import Bivector, OneForm, ScalarField, foliation, is_basic_one_form
 from poisgeo.cli import main
 from poisgeo.errors import InternalInconsistency
 
@@ -84,3 +85,26 @@ def test_disagreeing_routes_raise_every_time(monkeypatch, corpus):
         with pytest.raises(InternalInconsistency, match="basic-form routes disagree"):
             is_basic_one_form(fresh, dz)
     assert fresh.basic_verdicts == {}
+
+
+def test_routes_take_at_most_2n_plus_2_sharps(capsys, monkeypatch):
+    """pi_sharp(alpha) once for route A and once for route B's batch, then one
+    pi_sharp(beta) per generator; ``pairing`` builds none."""
+    sharps, per_call = [], []
+    sharp, routes = Bivector.sharp, foliation.basic_one_form_routes
+
+    def counted_sharp(self, alpha):
+        sharps.append(alpha)
+        return sharp(self, alpha)
+
+    def counted_routes(pi, alpha):
+        before = len(sharps)
+        out = routes(pi, alpha)
+        per_call.append(len(sharps) - before)
+        return out
+
+    monkeypatch.setattr(Bivector, "sharp", counted_sharp)
+    monkeypatch.setattr(foliation, "basic_one_form_routes", counted_routes)
+    assert main(["check", str(corpus_path("r3_flat_zmetric")), "--json"]) == 0
+    capsys.readouterr()
+    assert per_call and max(per_call) <= 2 * 3 + 2, per_call
