@@ -162,16 +162,18 @@ def run_check_pipeline(spec):
     D = None
     if metric_ok:
         D = levi_civita(pi, g)
+        # one pair or triple per orbit: the torsion defect is antisymmetric
+        # in (i, j) and the metric defect symmetric in (j, k)
         torsion_ok = all(
             torsion_defect_coordinate(D, pi, i, j).is_zero
             for i in range(n)
-            for j in range(n)
+            for j in range(i + 1, n)
         )
         metric_compat_ok = all(
             metric_defect_coordinate(D, g, pi, i, j, k).is_zero
             for i in range(n)
             for j in range(n)
-            for k in range(n)
+            for k in range(j, n)
         )
         checks.append(Check("connection_torsion_free", "pass" if torsion_ok else "fail"))
         checks.append(Check("connection_metric", "pass" if metric_compat_ok else "fail"))

@@ -13,7 +13,10 @@ what a coordinate vector stands for), one Leibniz-rule assembler and one
 kernel-minus-image count (``WindowComplex``).  A complex is built from its
 Lie algebroid's anchors and brackets: pi_sharp(dx_a) and the Koszul
 brackets of the coordinate coframe (``Bivector.cotangent_algebroid``) for
-d_pi, the leaf frame and its structure functions for d_F.
+d_pi, the leaf frame and its structure functions for d_F.  The d_pi complex
+depends on pi alone, so each bivector keeps one, and every d_pi window on it
+reuses the frame differentials already taken: a memo bounded by the frame
+tuples of the windows asked for.
 """
 
 from functools import lru_cache
@@ -215,10 +218,12 @@ class WindowComplex:
     window and ``shift`` is the worst-case increase in coefficient degree.
     The differentials of the coordinates are read off the anchors, the p = 0
     case of the CE formula: d(x_a)(e_b) = anchors[b] . x_a, the a-th
-    component of the b-th anchor.
+    component of the b-th anchor.  ``columns`` keeps, per frame tuple I of
+    the windows asked for, d(e_I) and the wedges d(x_a) ^ e_I, so a complex
+    computes each once over its lifetime; they are read, never mutated.
     """
 
-    __slots__ = ("chart", "basis", "anchors", "structure", "shift", "d_coords")
+    __slots__ = ("chart", "basis", "anchors", "structure", "shift", "d_coords", "_frame_terms")
 
     def __init__(self, chart, basis, anchors, structure, shift):
         self.chart = chart
@@ -230,6 +235,8 @@ class WindowComplex:
             _terms({(b,): X.comps[a] for b, X in enumerate(anchors) if not X.comps[a].is_zero})
             for a in range(chart.dim)
         ]
+        # {frame tuple I: (terms of d(e_I), [terms of d(x_a) ^ e_I for each a])}
+        self._frame_terms = {}
 
     def d_frame(self, idx):
         """The terms of d(e_idx), the CE formula on a constant frame cochain."""
@@ -248,16 +255,19 @@ class WindowComplex:
         linear over functions.  So the CE formula runs only on the C(k, p)
         constant frame cochains e_I, where its anchor terms vanish.
         """
-        d_frames = {idx: self.d_frame(idx) for idx in source.frames}
-        leibniz = {idx: [_wedge_frame(t, idx) for t in self.d_coords] for idx in source.frames}
+        memo = self._frame_terms
+        for idx in source.frames:
+            if idx not in memo:
+                memo[idx] = self.d_frame(idx), [_wedge_frame(t, idx) for t in self.d_coords]
         cols = []
         for mono, idx in source.elements:
+            d_frame, leibniz = memo[idx]
             acc = {}
-            _add_shifted(acc, mono, 1, d_frames[idx])
+            _add_shifted(acc, mono, 1, d_frame)
             for a, m_a in enumerate(mono):
                 if m_a:
                     lower = mono[:a] + (m_a - 1,) + mono[a + 1:]
-                    _add_shifted(acc, lower, m_a, leibniz[idx][a])
+                    _add_shifted(acc, lower, m_a, leibniz[a])
             cols.append(target.sparse_column(acc))
         return cols
 
@@ -322,22 +332,23 @@ class WindowComplex:
 
 
 def degree_shift(pi):
-    """Worst-case increase in coefficient degree under d_pi, cached on pi."""
-    if pi._degree_shift is None:
-        if not pi.is_polynomial():
-            raise NonPolynomialBivector("d_pi windows need polynomial bivector entries")
-        pi._degree_shift = pi.max_entry_degree() - 1
-    return pi._degree_shift
+    """Worst-case increase in coefficient degree under d_pi."""
+    if not pi.is_polynomial():
+        raise NonPolynomialBivector("d_pi windows need polynomial bivector entries")
+    return pi.max_entry_degree() - 1
 
 
 def _dpi_complex(pi):
-    """The windowed complex of d_pi, the cotangent Lie algebroid's differential."""
-    chart = pi.chart
-    shift = degree_shift(pi)
-    anchors, brackets = pi.cotangent_algebroid()
-    return WindowComplex(
-        chart, lambda p, bound: GradedBasis(chart, p, bound), anchors, brackets, shift
-    )
+    """The windowed complex of d_pi, the cotangent Lie algebroid's differential,
+    built once per bivector and kept on it."""
+    if pi._dpi_complex is None:
+        chart = pi.chart
+        shift = degree_shift(pi)
+        anchors, brackets = pi.cotangent_algebroid()
+        pi._dpi_complex = WindowComplex(
+            chart, lambda p, bound: GradedBasis(chart, p, bound), anchors, brackets, shift
+        )
+    return pi._dpi_complex
 
 
 def assemble_dpi_matrix(pi, p, d_in, d_out):

@@ -309,14 +309,15 @@ def riemann_poisson_defect(pi, g, D=None):
     """First nonzero Dpi coordinate component, or None when Dpi vanishes.
 
     Returns ((i, j, k), ScalarField) scanning triples in lexicographic order,
-    so the reported witness is deterministic.
+    so the reported witness is deterministic.  Dpi is antisymmetric in (j, k),
+    so the first nonzero triple has j < k and only those are scanned.
     """
     if D is None:
         D = levi_civita(pi, g)
     n = pi.chart.dim
     for i in range(n):
         for j in range(n):
-            for k in range(n):
+            for k in range(j + 1, n):
                 val = d_pi_tensor_coordinate(D, pi, i, j, k)
                 if not val.is_zero:
                     return (i, j, k), val

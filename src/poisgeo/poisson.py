@@ -38,7 +38,7 @@ class Bivector(BilinearForm):
     pi(dx_i, dx_j), and ``pairing(alpha, beta)`` = pi(alpha, beta)."""
 
     __slots__ = (
-        "_koszul_table", "_sharp_table", "_algebroid", "_degree_shift",
+        "_koszul_table", "_sharp_table", "_algebroid", "_dpi_complex",
         "_kernel_frame", "basic_verdicts",
     )
     noun = "bivector matrix"
@@ -49,7 +49,7 @@ class Bivector(BilinearForm):
         self._koszul_table = None
         self._sharp_table = None
         self._algebroid = None
-        self._degree_shift = None
+        self._dpi_complex = None  # cohomology._dpi_complex
         self._kernel_frame = None
         # {1-form: verdict} of foliation.is_basic_one_form, one per distinct form
         self.basic_verdicts = {}

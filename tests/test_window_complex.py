@@ -3,7 +3,8 @@
 ``WindowComplex`` reads d(x_a) off the anchors and takes d(e_I) from
 ``ce_differential`` on the constant frame cochains.  Both must equal what
 ``Bivector.d_pi`` (on multivectors) and ``leafwise_d`` (on leafwise forms)
-give on the same cochains.
+give on the same cochains.  The d_pi complex is kept on its bivector, so
+each d(e_I) is taken once however many windows are asked for.
 """
 
 from fractions import Fraction
@@ -13,10 +14,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from poisgeo import Bivector, Chart, PVector, ScalarField
+from poisgeo import Bivector, Chart, PVector, ScalarField, cohomology
 from poisgeo.cohomology import _dpi_complex, _leaf_complex, _terms
 from poisgeo.foliation import LeafwiseForm, _ts_structure_coefficients, leafwise_d
 
+from conftest import load_corpus
 from test_leafwise_assembly import RANK2_SPLITS, _rank4_split, splits  # noqa: F401
 
 CHARTS = {n: Chart(["x", "y", "z", "w"][:n]) for n in (2, 3, 4)}
@@ -89,3 +91,37 @@ def test_derivative_along_a_constant_is_zero(n, num, den, data):
     for value in (Fraction(num, den), 0):
         f = ScalarField.constant(chart, value)
         assert f.derivative_along(direction).is_zero
+
+
+# The betti_windows benchmark's windows on r3_quadratic_nonparallel: every
+# kind (betti, with representatives, d_pi o d_pi) on one bivector.
+QUADRATIC_WINDOWS = (
+    [(p, d, "betti") for d in (2, 4) for p in range(4)]
+    + [(1, 3, "betti"), (1, 3, "reps"), (1, 2, "dpi2")]
+)
+
+
+def test_frame_differentials_once_per_bivector(monkeypatch):
+    """Each frame tuple's d(e_I) is taken once over the bivector's lifetime:
+    once per distinct tuple on the first pass of the windows, never after."""
+    calls = []
+    original = cohomology.ce_differential
+
+    def counted(chart, anchors, structure, cochain, p, frame_size):
+        calls.append(tuple(cochain))
+        return original(chart, anchors, structure, cochain, p, frame_size)
+
+    monkeypatch.setattr(cohomology, "ce_differential", counted)
+    pi = load_corpus("r3_quadratic_nonparallel").pi
+    for passes in (1, 2):
+        calls.clear()
+        for p, d, kind in QUADRATIC_WINDOWS:
+            if kind == "dpi2":
+                assert cohomology.dpi_squared_matrix(pi, p, d).is_zero()
+            else:
+                cohomology.truncated_betti(pi, p, d, with_representatives=kind == "reps")
+        if passes == 1:
+            assert calls and len(calls) == len(set(calls)), calls
+        else:
+            assert calls == []
+    assert _dpi_complex(pi) is _dpi_complex(pi)
