@@ -113,14 +113,14 @@ def test_frame_differentials_once_per_bivector(monkeypatch):
 
     monkeypatch.setattr(cohomology, "ce_differential", counted)
     pi = load_corpus("r3_quadratic_nonparallel").pi
-    for passes in (1, 2):
+    for pass_index in (1, 2):
         calls.clear()
         for p, d, kind in QUADRATIC_WINDOWS:
             if kind == "dpi2":
                 assert cohomology.dpi_squared_matrix(pi, p, d).is_zero()
             else:
                 cohomology.truncated_betti(pi, p, d, with_representatives=kind == "reps")
-        if passes == 1:
+        if pass_index == 1:
             assert calls and len(calls) == len(set(calls)), calls
         else:
             assert calls == []
