@@ -52,7 +52,13 @@ from .foliation import (
 )
 from .linalg import FieldMatrix
 from .reconstruct import build_structure, validate_input
-from .specfile import ManifoldSpec, _fraction_str, load_samples_file, load_spec_file
+from .specfile import (
+    ManifoldSpec,
+    _fraction_str,
+    load_samples_file,
+    parse_spec_bytes,
+    read_spec_bytes,
+)
 
 
 class Check:
@@ -350,9 +356,30 @@ def _emit(args, spec, digest, started, checks, extra=None, lines=()):
             print(line)
 
 
+# Parsed specs kept: (kind, spec) by the sha256 of the file's bytes, least
+# recently used first.  A 3-D spec with the caches its bivector fills during
+# a check holds about 11 KB.
+_SPECS_SIZE = 16
+_specs = {}
+
+
 def _load(path, samples_path, kind):
-    """(spec, sha256) of a spec file of the given kind, samples overridden."""
-    found, spec, digest = load_spec_file(path)
+    """(spec, sha256) of a spec file of the given kind, samples overridden.
+
+    The file is read and hashed on every call, so an edit is seen at once;
+    it is parsed only when no earlier call in this process parsed the same
+    bytes.  A spec comes back from ``_specs`` with the caches its bivector
+    filled then, but every verdict is computed again by the caller.  A file
+    that fails to load is never kept, so its error names the path given.
+    """
+    raw, digest = read_spec_bytes(path)
+    kept = _specs.pop(digest, None)
+    if kept is None:
+        kept = parse_spec_bytes(raw, str(path))
+        if len(_specs) >= _SPECS_SIZE:
+            del _specs[next(iter(_specs))]
+    _specs[digest] = kept
+    found, spec = kept
     if found != kind:
         entry = "pi" if kind == "manifold" else "frame"
         raise SpecFileError(f"{path}: expected a {kind} spec (with a '{entry}' entry)")

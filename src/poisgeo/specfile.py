@@ -159,6 +159,8 @@ def _load_chart(data, where):
 
 def _load_samples(data, chart, where):
     raw = _require(data, "samples", list, where)
+    if not raw:
+        raise SpecFileError(f"{where}: needs at least one sample")
     samples = []
     for p in raw:
         if not isinstance(p, list) or len(p) != chart.dim:
@@ -245,32 +247,45 @@ def classify_spec(data):
     raise SpecFileError("spec object has neither 'pi' nor 'frame'")
 
 
-def _read_json(path):
-    """(parsed JSON, raw bytes) of a file; SpecFileError if it cannot be read."""
+def _decode_json(raw, where):
+    try:
+        return json.loads(raw.decode("utf-8"))
+    except (ValueError, RecursionError) as exc:  # bad UTF-8 or JSON; too deep; huge ints
+        raise SpecFileError(f"{where}: not valid JSON ({exc})") from None
+
+
+def read_spec_bytes(path):
+    """(raw bytes, sha256-hex) of a file; SpecFileError if it cannot be read."""
     try:
         with open(path, "rb") as fh:
             raw = fh.read()
     except OSError as exc:
         raise SpecFileError(str(exc)) from None
+    return raw, sha256(raw).hexdigest()
+
+
+def parse_spec_bytes(raw, where):
+    """(kind, spec) built from a spec file's bytes; ``where`` names the file in errors."""
+    data = _decode_json(raw, where)
     try:
-        return json.loads(raw.decode("utf-8")), raw
-    except (ValueError, RecursionError) as exc:  # bad UTF-8 or JSON; too deep; huge ints
-        raise SpecFileError(f"{path}: not valid JSON ({exc})") from None
+        kind = classify_spec(data)
+    except SpecFileError as exc:
+        raise SpecFileError(f"{where}: {exc}") from None
+    if kind == "manifold":
+        return kind, load_manifold_spec(data, where=where)
+    return kind, load_foliation_spec(data, where=where)
 
 
 def load_spec_file(path):
     """Read a JSON spec file; returns (kind, spec, sha256-hex)."""
-    data, raw = _read_json(path)
-    digest = sha256(raw).hexdigest()
-    kind = classify_spec(data)
-    if kind == "manifold":
-        return kind, load_manifold_spec(data, where=str(path)), digest
-    return kind, load_foliation_spec(data, where=str(path)), digest
+    raw, digest = read_spec_bytes(path)
+    kind, spec = parse_spec_bytes(raw, str(path))
+    return kind, spec, digest
 
 
 def load_samples_file(path, chart):
     """Read an override sample list (JSON array of points)."""
-    data, _ = _read_json(path)
+    data = _decode_json(read_spec_bytes(path)[0], str(path))
     if not isinstance(data, list):
         raise SpecFileError(f"{path}: samples override must be a JSON array")
     return _load_samples({"samples": data}, chart, str(path))

@@ -8,6 +8,7 @@ from poisgeo import (
     Chart,
     CoMetric,
     ScalarField,
+    cli,
     load_manifold_spec,
     parse_scalar,
 )
@@ -99,3 +100,9 @@ def g_id3(chart3):
 def g_z3(chart3):
     one = ScalarField.one(chart3)
     return CoMetric.diagonal(chart3, [one, one, parse_scalar("1/(1+z^2)", chart3)])
+
+
+@pytest.fixture(autouse=True)
+def _cold_spec_memo():
+    """Each test starts with no parsed spec kept, as a fresh CLI process does."""
+    cli._specs.clear()

@@ -452,6 +452,34 @@ class TestInputErrors:
             for flags in ([], ["--json"]) if command == "check" else ([],):
                 self._assert_input_error(capsys, [command, str(spec), *flags], "'name'", "UTF-8")
 
+    def test_empty_sample_list_names_its_file_exit2(self, capsys, tmp_path):
+        """An empty list in the spec blames the spec; an empty --samples
+        override blames the override, not the spec it overrides."""
+        spec = self._write(tmp_path, samples=[])
+        for command in ("check", "report"):
+            self._assert_input_error(
+                capsys, [command, spec], f"input error: {spec}: needs at least one sample"
+            )
+        empty = tmp_path / "empty.json"
+        empty.write_text("[]")
+        good = {
+            "check": str(corpus_path("r3_flat")),
+            "construct": str(corpus_path("foliation_flat_zmetric")),
+        }
+        for command, path in good.items():
+            self._assert_input_error(
+                capsys,
+                [command, path, "--samples", str(empty)],
+                f"input error: {empty}: needs at least one sample",
+            )
+
+    def test_spec_of_no_kind_names_its_file_exit2(self, capsys, tmp_path):
+        spec = tmp_path / "neither.json"
+        spec.write_text('{"name": "x"}')
+        self._assert_input_error(
+            capsys, ["check", str(spec)], f"input error: {spec}: spec object has neither"
+        )
+
     def test_deep_nesting_exit2(self, capsys, tmp_path):
         spec = self._write(tmp_path, pi=[[0, 1, "(" * 5000 + "x" + ")" * 5000]])
         self._assert_input_error(capsys, ["check", spec, "--json"], "nested")

@@ -1,18 +1,24 @@
-"""One process, many command lines: ``cli.main`` builds its parser once.
+"""One process, many command lines: ``cli.main`` builds its parser once
+and parses each distinct spec file content once.
 
 Every call in a mixed sequence (subcommands alternating, ``--json`` on and
 off, ``cohomology --thm31`` on and off, an argparse usage error between
 valid calls) must print the same stdout and stderr and return the same exit
-code as the same call made on its own, with a freshly built parser.
+code as the same call made on its own, with a freshly built parser and no
+parsed spec kept.  The spec memo (``cli._specs``) is keyed by the file's
+bytes: an edited file is parsed again, two paths with the same bytes share
+one spec, a file that fails to load is never kept, and past its bound the
+memo keeps the most recently used specs.
 """
 
 import contextlib
 import io
+import json
 import re
 
-from poisgeo import cli
+from poisgeo import cli, specfile
 
-from conftest import corpus_path
+from conftest import CORPUS_NAMES, corpus_path
 
 FLAT = str(corpus_path("r3_flat_zmetric"))
 SO3 = str(corpus_path("so3_star"))
@@ -70,3 +76,134 @@ def test_parser_is_built_once(monkeypatch):
     for argv in SEQUENCE[:4]:
         _call(argv)
     assert built == [1]
+
+
+FOLIATIONS = ("foliation_flat_zmetric", "foliation_invariance_fails")
+
+EVERY_CALL = [
+    argv
+    for name in CORPUS_NAMES
+    for path in [str(corpus_path(name))]
+    for argv in (
+        ["check", path],
+        ["check", path, "--json"],
+        ["report", path],
+        ["foliation", path],
+        ["foliation", path, "--json"],
+        ["christoffel", path, "--json"],
+        ["cohomology", path, "--p", "1", "--degree", "2"],
+        ["cohomology", path, "--p", "1", "--degree", "2", "--thm31", "--json"],
+    )
+] + [["construct", str(corpus_path(name)), "--verify"] for name in FOLIATIONS]
+
+
+def _count_parses(monkeypatch):
+    parsed = []
+    original = cli.parse_spec_bytes
+    monkeypatch.setattr(
+        cli, "parse_spec_bytes", lambda raw, where: parsed.append(where) or original(raw, where)
+    )
+    return parsed
+
+
+def test_warm_calls_match_cold_calls(monkeypatch):
+    cold = []
+    for argv in EVERY_CALL:
+        cli._specs.clear()
+        cold.append(_call(argv))
+    cli._specs.clear()
+    parsed = _count_parses(monkeypatch)
+    for _ in range(2):
+        for argv, expected in zip(EVERY_CALL, cold):
+            assert _call(argv) == expected, argv
+    assert len(parsed) == len(CORPUS_NAMES) + len(FOLIATIONS)
+    assert {code for code, _, _ in cold} == {0, 1}
+
+
+def _check(path):
+    return _call(["check", str(path), "--json"])
+
+
+def test_rewritten_file_is_parsed_again(tmp_path):
+    path = tmp_path / "spec.json"
+    expected = {}
+    for name in ("r3_flat", "nonpoisson_jacobi"):
+        path.write_bytes(corpus_path(name).read_bytes())
+        cli._specs.clear()
+        expected[name] = _check(path)
+    assert expected["r3_flat"][0] == 0 and expected["nonpoisson_jacobi"][0] == 1
+    for name in ("r3_flat", "nonpoisson_jacobi", "r3_flat"):
+        path.write_bytes(corpus_path(name).read_bytes())
+        assert _check(path) == expected[name]
+
+
+def test_same_bytes_share_one_spec_and_keep_their_paths(monkeypatch, tmp_path):
+    parsed = _count_parses(monkeypatch)
+    paths = [tmp_path / "a.json", tmp_path / "b.json"]
+    for path in paths:
+        path.write_bytes(corpus_path("so3_star").read_bytes())
+    specs = [cli._load(str(path), None, "manifold")[0] for path in paths]
+    assert specs[0].pi is specs[1].pi
+    for path in paths:
+        code, out, _ = _call(["report", str(path)])
+        assert code != 2 and json.loads(out)["input"] == str(path)
+    assert parsed == [str(paths[0])] and len(cli._specs) == 1
+
+
+def test_samples_override_leaves_the_kept_spec_alone(tmp_path):
+    path = str(corpus_path("r3_quadratic_nonparallel"))
+    override = tmp_path / "samples.json"
+    override.write_text(json.dumps([[1, 2, 3]]))
+    calls = [["check", path, "--samples", str(override), "--json"], ["check", path, "--json"]]
+    cold = []
+    for argv in calls:
+        cli._specs.clear()
+        cold.append(_call(argv))
+    cli._specs.clear()
+    for argv, expected in zip(calls * 2, cold * 2):
+        assert _call(argv) == expected, argv
+    assert json.loads(cold[0][1])["checks"] != json.loads(cold[1][1])["checks"]
+
+
+def test_failed_load_is_never_kept(tmp_path):
+    """Every call exits 2, an unparsable file's error names the path given,
+    and a file that fails to load never enters the memo."""
+    good = json.loads(corpus_path("r3_flat").read_text())
+    bad = {
+        "bad_json.json": "{bad",
+        "pole.json": json.dumps(dict(good, cometric=[[0, 0, "1"], [1, 1, "1"], [2, 2, "1/z"]],
+                                     samples=[[1, 1, 0]])),
+        "foliation.json": corpus_path("foliation_flat_zmetric").read_text(),
+    }
+    for name, text in bad.items():
+        paths = [tmp_path / name, tmp_path / f"copy_{name}"]
+        for path in paths:
+            path.write_text(text)
+        for _ in range(2):
+            for path in paths:
+                code, out, err = _check(path)
+                assert code == 2 and out == "" and err.startswith("input error: "), err
+                # a pole is reported against the spec's name, not its file
+                assert (str(path) in err) == (name != "pole.json"), err
+        if name != "foliation.json":
+            assert cli._specs == {}
+    # the foliation spec parsed: it is kept, and refused as a manifold on every call
+    assert [kind for kind, _ in cli._specs.values()] == ["foliation"]
+
+
+def test_memo_keeps_the_most_recently_used_specs(tmp_path):
+    data = json.loads(corpus_path("r2_flat").read_text())
+    digests = []
+    for k in range(cli._SPECS_SIZE + 3):
+        path = tmp_path / f"spec{k}.json"
+        path.write_text(json.dumps(dict(data, name=f"spec{k}")))
+        digests.append(cli._load(str(path), None, "manifold")[1])
+        assert len(cli._specs) == min(k + 1, cli._SPECS_SIZE)
+    assert list(cli._specs) == digests[-cli._SPECS_SIZE:]
+    # a hit makes the oldest spec the most recent, so the next miss evicts
+    # the one that was second oldest
+    cli._load(str(tmp_path / "spec3.json"), None, "manifold")
+    path = tmp_path / "new.json"
+    path.write_text(json.dumps(dict(data, name="new")))
+    cli._load(str(path), None, "manifold")
+    assert list(cli._specs) == digests[5:] + [digests[3], specfile.read_spec_bytes(path)[1]]
