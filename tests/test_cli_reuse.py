@@ -16,7 +16,7 @@ import io
 import json
 import re
 
-from poisgeo import cli, specfile
+from poisgeo import cli
 
 from conftest import CORPUS_NAMES, corpus_path
 
@@ -205,5 +205,5 @@ def test_memo_keeps_the_most_recently_used_specs(tmp_path):
     cli._load(str(tmp_path / "spec3.json"), None, "manifold")
     path = tmp_path / "new.json"
     path.write_text(json.dumps(dict(data, name="new")))
-    cli._load(str(path), None, "manifold")
-    assert list(cli._specs) == digests[5:] + [digests[3], specfile.read_spec_bytes(path)[1]]
+    new = cli._load(str(path), None, "manifold")[1]
+    assert list(cli._specs) == digests[5:] + [digests[3], new]
