@@ -48,7 +48,6 @@ from .foliation import (
     leaf_connection,
     leafwise_symplectic,
     parallel_omega_residuals,
-    split_cotangent,
 )
 from .linalg import FieldMatrix
 from .reconstruct import build_structure, validate_input
@@ -156,7 +155,7 @@ def run_check_pipeline(spec):
     split = None
     if metric_ok:
         try:
-            split = split_cotangent(pi, g, spec.declared_rank, samples)
+            split = spec.splitting()
             checks.append(Check("rank_constant", "pass"))
         except (RankNotConstant, RankOdd) as exc:
             witness = _rank_witness(pi, spec.declared_rank)
@@ -231,10 +230,8 @@ def run_check_pipeline(spec):
         omega = None
 
     try:
-        tangent = split.tangent_metric()
-        tangent.validate(samples)
+        split.tangent_metric().validate(samples)
         checks.append(Check("induced_metric_positive", "pass"))
-        ctx["tangent_metric"] = tangent
     except NotPositiveDefiniteAt as exc:
         checks.append(Check("induced_metric_positive", "fail", detail=str(exc)))
 
@@ -358,7 +355,7 @@ def _emit(args, spec, digest, started, checks, extra=None, lines=()):
 
 # Parsed specs kept: (kind, spec) by the sha256 of the file's bytes, least
 # recently used first.  A 3-D spec with the caches its bivector fills during
-# a check holds about 11 KB.
+# a check, and its cotangent splitting, holds about 28 KB.
 _SPECS_SIZE = 16
 _specs = {}
 
@@ -369,8 +366,10 @@ def _load(path, samples_path, kind):
     The file is read and hashed on every call, so an edit is seen at once;
     it is parsed only when no earlier call in this process parsed the same
     bytes.  A spec comes back from ``_specs`` with the caches its bivector
-    filled then, but every verdict is computed again by the caller.  A file
-    that fails to load is never kept, so its error names the path given.
+    filled then and, for a manifold, the cotangent splitting a check kept,
+    but every verdict is computed again by the caller.  A file that fails to
+    load is never kept, so its error names the path given.  A ``--samples``
+    override is a new spec that builds its own splitting.
     """
     raw, digest = read_spec_bytes(path)
     kept = _specs.pop(digest, None)
@@ -384,9 +383,7 @@ def _load(path, samples_path, kind):
         entry = "pi" if kind == "manifold" else "frame"
         raise SpecFileError(f"{path}: expected a {kind} spec (with a '{entry}' entry)")
     if samples_path:
-        # both spec classes take their slots in order, the samples last
-        fields = [getattr(spec, slot) for slot in type(spec).__slots__[:-1]]
-        spec = type(spec)(*fields, load_samples_file(samples_path, spec.chart))
+        spec = spec.with_samples(load_samples_file(samples_path, spec.chart), samples_path)
     return spec, digest
 
 
@@ -489,8 +486,9 @@ def cmd_cohomology(args):
     ]
     if args.thm31:
         try:
-            split = split_cotangent(spec.pi, spec.cometric, spec.declared_rank, spec.samples)
-            rep = thm31_cochain_report(spec.pi, spec.cometric, split, args.p, args.degree)
+            rep = thm31_cochain_report(
+                spec.pi, spec.cometric, spec.splitting(), args.p, args.degree
+            )
         except _INPUT_ERRORS:
             raise
         except PoisgeoError as exc:

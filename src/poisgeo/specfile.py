@@ -20,7 +20,7 @@ except ImportError:
 from .chart import Chart
 from .connection import CoMetric
 from .errors import PoleAtPoint, SpecFileError
-from .foliation import TangentMetric
+from .foliation import TangentMetric, split_cotangent
 from .parser import parse_scalar
 from .poisson import Bivector
 from .reconstruct import FoliationInput
@@ -28,17 +28,22 @@ from .tensor import PForm, VectorField
 
 
 class ManifoldSpec:
-    """A named (chart, bivector, cometric, declared rank, samples) bundle."""
+    """A named (chart, bivector, cometric, declared rank, samples) bundle.
 
-    __slots__ = ("name", "chart", "pi", "cometric", "declared_rank", "samples")
+    ``where`` names the file that holds the samples in a pole's message (the
+    spec's name when None); it is not kept.
+    """
 
-    def __init__(self, name, chart, pi, cometric, declared_rank, samples):
+    __slots__ = ("name", "chart", "pi", "cometric", "declared_rank", "samples", "_splitting")
+
+    def __init__(self, name, chart, pi, cometric, declared_rank, samples, where=None):
         self.name = name
         self.chart = chart
         self.pi = pi
         self.cometric = cometric
         self.declared_rank = declared_rank
         self.samples = tuple(tuple(Fraction(c) for c in p) for p in samples)
+        self._splitting = None
         if not self.samples:
             raise SpecFileError("manifold spec needs at least one sample")
         for p in self.samples:
@@ -46,12 +51,29 @@ class ManifoldSpec:
                 raise SpecFileError(f"sample {p} has wrong dimension")
         n = chart.dim
         _check_no_poles(
-            name,
+            where or name,
             [(f"pi entry ({i}, {j})", pi.entry(i, j)) for i in range(n) for j in range(i + 1, n)]
             + [(f"cometric entry ({i}, {j})", cometric.entry(i, j))
                for i in range(n) for j in range(i, n)],
             self.samples,
         )
+
+    def with_samples(self, samples, where=None):
+        """The same spec at other sample points, with no splitting kept."""
+        return ManifoldSpec(
+            self.name, self.chart, self.pi, self.cometric, self.declared_rank, samples, where
+        )
+
+    def splitting(self):
+        """The cotangent splitting of (pi, cometric, declared rank, samples),
+        built on first use and kept once it succeeds; a build that raises
+        (RankNotConstant, RankOdd, ...) keeps nothing and raises again on
+        the next call."""
+        if self._splitting is None:
+            self._splitting = split_cotangent(
+                self.pi, self.cometric, self.declared_rank, self.samples
+            )
+        return self._splitting
 
     def to_dict(self):
         n = self.chart.dim
@@ -76,11 +98,12 @@ class ManifoldSpec:
 
 
 class FoliationSpec:
-    """A named (chart, leaf frame, tangent metric, 2-form, samples) bundle."""
+    """A named (chart, leaf frame, tangent metric, 2-form, samples) bundle;
+    ``where`` as for ManifoldSpec."""
 
     __slots__ = ("name", "chart", "frame", "tangent_metric", "omega", "samples")
 
-    def __init__(self, name, chart, frame, tangent_metric, omega, samples):
+    def __init__(self, name, chart, frame, tangent_metric, omega, samples, where=None):
         self.name = name
         self.chart = chart
         self.frame = tuple(frame)
@@ -94,7 +117,7 @@ class FoliationSpec:
                 raise SpecFileError(f"sample {p} has wrong dimension")
         n = chart.dim
         _check_no_poles(
-            name,
+            where or name,
             [(f"frame entry ({a}, {i})", X.comps[i]) for a, X in enumerate(self.frame)
              for i in range(n)]
             + [(f"tangent_metric entry ({i}, {j})", tangent_metric.entry(i, j))
@@ -103,14 +126,21 @@ class FoliationSpec:
             self.samples,
         )
 
+    def with_samples(self, samples, where=None):
+        """The same spec at other sample points."""
+        return FoliationSpec(
+            self.name, self.chart, self.frame, self.tangent_metric, self.omega, samples, where
+        )
+
     def foliation_input(self):
         return FoliationInput(
             self.chart, self.frame, self.tangent_metric, self.omega, self.samples
         )
 
 
-def _check_no_poles(name, entries, samples):
-    """SpecFileError if a (label, ScalarField) entry has a pole at a sample."""
+def _check_no_poles(where, entries, samples):
+    """SpecFileError, starting with ``where``, if a (label, ScalarField) entry
+    has a pole at a sample."""
     for label, field in entries:
         if field.is_polynomial:
             continue
@@ -119,7 +149,7 @@ def _check_no_poles(name, entries, samples):
                 field.parts_at(p)
             except PoleAtPoint:
                 point = ", ".join(_fraction_str(c) for c in p)
-                raise SpecFileError(f"{name}: {label} has a pole at sample ({point})") from None
+                raise SpecFileError(f"{where}: {label} has a pole at sample ({point})") from None
 
 
 def _fraction_str(q):
@@ -211,7 +241,7 @@ def load_manifold_spec(data, where="manifold spec"):
     samples = _load_samples(data, chart, where)
     pi = Bivector.from_upper(chart, pi_entries)
     cometric = CoMetric.from_upper(chart, g_entries)
-    return ManifoldSpec(name, chart, pi, cometric, declared_rank, samples)
+    return ManifoldSpec(name, chart, pi, cometric, declared_rank, samples, where)
 
 
 def load_foliation_spec(data, where="foliation spec"):
@@ -235,7 +265,7 @@ def load_foliation_spec(data, where="foliation spec"):
     omega_entries = _load_entries(_require(data, "omega", list, where), chart, where, False)
     omega = PForm(chart, 2, omega_entries)
     samples = _load_samples(data, chart, where)
-    return FoliationSpec(name, chart, frame, tangent, omega, samples)
+    return FoliationSpec(name, chart, frame, tangent, omega, samples, where)
 
 
 def classify_spec(data):

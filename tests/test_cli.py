@@ -390,6 +390,25 @@ class TestInputErrors:
             capsys, ["report", spec, "--samples", str(samples), "--json"], "pole"
         )
 
+    def test_pole_message_starts_with_the_file_of_the_point(self, capsys, tmp_path):
+        """The spec file for its own samples, the --samples file for an override."""
+        spec = self._write(
+            tmp_path,
+            cometric=[[0, 0, "1"], [1, 1, "1"], [2, 2, "1/(z-3)"]],
+            samples=[[1, 1, 3]],
+        )
+        self._assert_input_error(
+            capsys, ["check", spec], f"input error: {spec}: cometric entry (2, 2) has a pole"
+        )
+        spec = self._write(tmp_path, cometric=[[0, 0, "1"], [1, 1, "1"], [2, 2, "1/(z-3)"]])
+        samples = tmp_path / "samples.json"
+        samples.write_text(json.dumps([[0, 0, 0], [1, 1, 3]]))
+        code, out, err = run_cli(capsys, "check", spec, "--samples", str(samples))
+        assert code == 2 and out == ""
+        assert err == (
+            f"input error: {samples}: cometric entry (2, 2) has a pole at sample (1, 1, 3)\n"
+        )
+
     def test_pole_in_foliation_spec_exit2(self, capsys, tmp_path):
         spec = self._write(
             tmp_path, "foliation_flat_zmetric", frame=[["1/z", "0", "0"], ["0", "1", "0"]]

@@ -1,5 +1,6 @@
-"""One process, many command lines: ``cli.main`` builds its parser once
-and parses each distinct spec file content once.
+"""One process, many command lines: ``cli.main`` builds its parser once,
+parses each distinct spec file content once and builds each kept manifold
+spec's cotangent splitting once.
 
 Every call in a mixed sequence (subcommands alternating, ``--json`` on and
 off, ``cohomology --thm31`` on and off, an argparse usage error between
@@ -8,15 +9,21 @@ code as the same call made on its own, with a freshly built parser and no
 parsed spec kept.  The spec memo (``cli._specs``) is keyed by the file's
 bytes: an edited file is parsed again, two paths with the same bytes share
 one spec, a file that fails to load is never kept, and past its bound the
-memo keeps the most recently used specs.
+memo keeps the most recently used specs.  A splitting that fails is never
+kept, a ``--samples`` override builds its own, and what a kept generated
+spec holds after a check is bounded.
 """
 
 import contextlib
+import gc
 import io
 import json
 import re
+import tracemalloc
+from pathlib import Path
 
-from poisgeo import cli
+from perfbench import specgen
+from poisgeo import cli, specfile
 
 from conftest import CORPUS_NAMES, corpus_path
 
@@ -183,8 +190,7 @@ def test_failed_load_is_never_kept(tmp_path):
             for path in paths:
                 code, out, err = _check(path)
                 assert code == 2 and out == "" and err.startswith("input error: "), err
-                # a pole is reported against the spec's name, not its file
-                assert (str(path) in err) == (name != "pole.json"), err
+                assert str(path) in err, err
         if name != "foliation.json":
             assert cli._specs == {}
     # the foliation spec parsed: it is kept, and refused as a manifold on every call
@@ -207,3 +213,88 @@ def test_memo_keeps_the_most_recently_used_specs(tmp_path):
     path.write_text(json.dumps(dict(data, name="new")))
     new = cli._load(str(path), None, "manifold")[1]
     assert list(cli._specs) == digests[5:] + [digests[3], new]
+
+
+def _count_splits(monkeypatch):
+    """The bivector of each split_cotangent call a spec makes."""
+    built = []
+    original = specfile.split_cotangent
+
+    def counted(pi, g, declared_rank, samples):
+        built.append(pi)
+        return original(pi, g, declared_rank, samples)
+
+    monkeypatch.setattr(specfile, "split_cotangent", counted)
+    return built
+
+
+def test_each_kept_splitting_is_built_once(monkeypatch):
+    """Across check, report, foliation and cohomology --thm31, twice over, a
+    spec whose splitting succeeds builds it once; so3_star's rank drops at
+    its first sample, so each of its eight requests builds and fails again."""
+    built = _count_splits(monkeypatch)
+    for name in CORPUS_NAMES:
+        path = str(corpus_path(name))
+        calls = [
+            ["check", path],
+            ["report", path, "--json"],
+            ["foliation", path],
+            ["cohomology", path, "--p", "1", "--degree", "1", "--thm31", "--json"],
+        ]
+        for argv in calls * 2:
+            assert _call(argv)[0] in (0, 1), argv
+        spec = cli._load(path, None, "manifold")[0]
+        kept = spec._splitting is not None
+        assert kept == (name != "so3_star"), name
+        assert sum(pi is spec.pi for pi in built) == (1 if kept else len(calls) * 2), name
+
+
+def test_samples_override_builds_its_own_splitting(monkeypatch, tmp_path):
+    path = str(corpus_path("r3_quadratic_nonparallel"))
+    override = tmp_path / "samples.json"
+    override.write_text(json.dumps([[1, 2, 3]]))
+    built = _count_splits(monkeypatch)
+    _check(path)
+    kept = cli._load(path, None, "manifold")[0].splitting()
+    for k in range(1, 3):
+        _call(["check", path, "--samples", str(override), "--json"])
+        _check(path)
+        assert len(built) == 1 + k
+    assert cli._load(path, None, "manifold")[0].splitting() is kept
+    assert kept.samples == ((0, 0, 0), (0, 0, 1))
+
+
+def test_failed_splitting_is_never_kept(monkeypatch):
+    path = Path(__file__).with_name("sample_specs") / "pi_drops_rank.json"
+    built = _count_splits(monkeypatch)
+    outputs = [_check(path) for _ in range(3)]
+    assert outputs[0][0] == 1 and outputs == [outputs[0]] * 3
+    rank = next(c for c in json.loads(outputs[0][1])["checks"] if c["name"] == "rank_constant")
+    assert rank["status"] == "fail" and "differs from declared rank 2" in rank["detail"]
+    assert len(built) == 3
+    assert cli._load(str(path), None, "manifold")[0]._splitting is None
+
+
+def test_kept_generated_spec_holds_at_most_48_kb(tmp_path):
+    """What a kept spec holds after ``check --json``: the bytes freed when
+    the memo lets it go.  Each of the first eight generated specs of a seed,
+    the checks of the check_generated workload, holds 10-40 KB here."""
+    paths = []
+    for index in range(8):
+        path = tmp_path / f"gen{index}.json"
+        path.write_bytes(specgen.spec_bytes(specgen.generated_spec(8, index)[0]))
+        paths.append(path)
+    _check(paths[-1])  # the parser and the modules' own first-use state
+    tracemalloc.start()
+    try:
+        for path in paths:
+            cli._specs.clear()
+            code = _check(path)[0]
+            gc.collect()
+            kept = tracemalloc.get_traced_memory()[0]
+            cli._specs.clear()
+            gc.collect()
+            held = kept - tracemalloc.get_traced_memory()[0]
+            assert code in (0, 1) and 0 < held <= 48 * 1024, (path.name, held)
+    finally:
+        tracemalloc.stop()
