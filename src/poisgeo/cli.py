@@ -119,7 +119,7 @@ _FOLIATION_CHECKS = (
 def run_check_pipeline(spec):
     """The full verdict list for a manifold spec, plus reusable context."""
     checks = []
-    ctx = {"spec": spec}
+    ctx = {}
     chart = spec.chart
     n = chart.dim
     pi, g, samples = spec.pi, spec.cometric, spec.samples
@@ -150,7 +150,6 @@ def run_check_pipeline(spec):
                 detail=f"jacobiator({names[i]},{names[j]},{names[k]}) is nonzero",
             )
         )
-    ctx["poisson"] = poisson
 
     split = None
     if metric_ok:
@@ -165,6 +164,7 @@ def run_check_pipeline(spec):
     ctx["split"] = split
 
     D = None
+    rp = False
     if metric_ok:
         D = levi_civita(pi, g)
         # one pair or triple per orbit: the torsion defect is antisymmetric
@@ -185,7 +185,7 @@ def run_check_pipeline(spec):
         defect = riemann_poisson_defect(pi, g, D)
         if poisson and defect is None:
             checks.append(Check("riemann_poisson", "pass"))
-            ctx["riemann_poisson"] = True
+            rp = True
         elif defect is not None:
             (i, j, k), val = defect
             names = chart.names
@@ -197,7 +197,6 @@ def run_check_pipeline(spec):
                     detail=f"Dpi(d{names[i]},d{names[j]},d{names[k]}) is nonzero",
                 )
             )
-            ctx["riemann_poisson"] = False
         else:
             # Dpi vanished but Jacobi failed (the cyclic identity makes this
             # unreachable); report the Jacobi witness for self-validation
@@ -205,22 +204,19 @@ def run_check_pipeline(spec):
             checks.append(
                 _fail("riemann_poisson", val, samples, detail="bivector is not Poisson")
             )
-            ctx["riemann_poisson"] = False
     else:
         checks.append(Check("connection_torsion_free", "skip", detail="cometric invalid"))
         checks.append(Check("connection_metric", "skip", detail="cometric invalid"))
         checks.append(Check("riemann_poisson", "skip", detail="cometric invalid"))
-        ctx["riemann_poisson"] = False
     ctx["connection"] = D
 
-    rp = ctx.get("riemann_poisson", False)
     if split is None:
         for name in _FOLIATION_CHECKS[1:]:
             checks.append(Check(name, "skip", detail="no cotangent splitting"))
         return checks, ctx
 
     try:
-        omega = leafwise_symplectic(pi, split)
+        omega = leafwise_symplectic(split)
         checks.append(Check("leafwise_symplectic_nondegenerate", "pass"))
         ctx["leafwise"] = omega
     except SingularLeafwiseForm as exc:
@@ -235,7 +231,7 @@ def run_check_pipeline(spec):
     except NotPositiveDefiniteAt as exc:
         checks.append(Check("induced_metric_positive", "fail", detail=str(exc)))
 
-    inv = invariance_report(pi, g, split, rp)
+    inv = invariance_report(split, rp)
     coord_note = (
         "coordinate-pair residuals vanish too"
         if inv["coordinate_bracket_ok"]
@@ -264,22 +260,21 @@ def run_check_pipeline(spec):
                 + (f"; observed residual {residual}" if residual is not None else ""),
             )
         )
-    ctx["invariance"] = inv
 
     if rp:
         agree = True
         for kappa in split.kernel_frame:
-            rep = foliate_report(pi, g, split, kappa, D)
+            rep = foliate_report(split, kappa, D)
             if len(set(rep.values())) != 1 or not rep["basic"]:
                 agree = False
         checks.append(Check("foliate_predicates", "pass" if agree else "fail"))
         try:
-            bl = bundle_like_report(pi, g, split)
+            bl = bundle_like_report(split)
             checks.append(Check("bundle_like", "pass" if bl["ok"] else "fail"))
         except Inconclusive as exc:
             checks.append(Check("bundle_like", "skip", detail=str(exc)))
-        nabla = leaf_connection(D, pi, split)
-        residuals = parallel_omega_residuals(pi, split, nabla, omega)
+        nabla = leaf_connection(D, split)
+        residuals = parallel_omega_residuals(split, nabla, omega)
         parallel_ok = all(v.is_zero for v in residuals.values())
         checks.append(
             Check("leaf_connection_parallel", "pass" if parallel_ok else "fail")
@@ -486,9 +481,7 @@ def cmd_cohomology(args):
     ]
     if args.thm31:
         try:
-            rep = thm31_cochain_report(
-                spec.pi, spec.cometric, spec.splitting(), args.p, args.degree
-            )
+            rep = thm31_cochain_report(spec.splitting(), args.p, args.degree)
         except _INPUT_ERRORS:
             raise
         except PoisgeoError as exc:

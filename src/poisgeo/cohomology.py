@@ -413,7 +413,7 @@ def split_residuals(Q0, Q1, split):
     return res0, res1
 
 
-def dpi_preserves_split(pi, g, split, p, d):
+def dpi_preserves_split(split, p, d):
     """Check d_pi maps each summand of the (p, d) window into itself.
 
     Returns {"preserved": bool, "witness": (mono, idx, side) or None}.
@@ -422,6 +422,7 @@ def dpi_preserves_split(pi, g, split, p, d):
     """
     if p >= split.chart.dim:
         return {"preserved": True, "witness": None}
+    pi = split.pi
     basis = GradedBasis(split.chart, p, d)
     for k in range(len(basis)):
         B = basis.element_pvector(k)
@@ -541,7 +542,7 @@ def leafwise_truncated_betti(split, p, d, structure=None):
     return _leaf_complex(split, structure).betti(p, d)
 
 
-def thm31_cochain_report(pi, g, split, p, d):
+def thm31_cochain_report(split, p, d):
     """Cochain-level evidence for the basic+leafwise embedding into H_pi.
 
     (a) every enumerated basic p-form maps to a d_pi-closed multivector
@@ -552,9 +553,10 @@ def thm31_cochain_report(pi, g, split, p, d):
         + betti_leafwise.  Reported as a flag, not asserted, so windows
         where truncation effects break the count are visible.
     """
+    pi = split.pi
     report = {"p": p, "window_degree": d}
     closed = []
-    for omega in basic_pform_family(pi, g, p, d):
+    for omega in basic_pform_family(pi, p, d):
         image = sharp_basic(split, omega)
         closed.append(pi.d_pi(image).is_zero)
     report["basic_count"] = len(closed)
@@ -577,7 +579,7 @@ def thm31_cochain_report(pi, g, split, p, d):
         window = GradedBasis(pi.chart, 1, d)
         cols = [
             window.sparse_coordinates_of(f.as_pform())
-            for f in basic_form_family(pi, g, d)
+            for f in basic_form_family(pi, d)
             if all(c.is_polynomial and c.total_degree() <= d for c in f.comps)
         ]
         basic_dim = RationalMatrix.from_columns(cols, len(window)).rank()

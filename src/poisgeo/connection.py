@@ -344,7 +344,7 @@ def cyclic_d_pi(D, pi, alpha, beta, gamma_form):
     )
 
 
-def prop_elementary_report(pi, g, split, D=None):
+def prop_elementary_report(split, D=None):
     """The three elementary closure properties of the connection.
 
     1. pi(b) = 0 implies pi(D_a b) = 0 for every coordinate a;
@@ -354,6 +354,7 @@ def prop_elementary_report(pi, g, split, D=None):
     Returns {"kernel_stays_kernel": bool, "kernel_kills": bool,
     "perp_closed": bool} evaluated on the split frames.
     """
+    pi, g = split.pi, split.g
     if D is None:
         D = levi_civita(pi, g)
     chart = pi.chart

@@ -40,7 +40,7 @@ from .tensor import (
     _alternating,
     _Components,
     ce_differential,
-    d_form,
+    exterior_d,
     interior_vector,
     lie_bracket,
     lie_derivative_bivector,
@@ -145,7 +145,7 @@ class FoliationSplit:
     def tangent_metric(self):
         """The induced tangent metric of (pi, g), built once per split."""
         if self._tangent_metric is None:
-            self._tangent_metric = induced_tangent_metric(self.pi, self.g, self)
+            self._tangent_metric = induced_tangent_metric(self)
         return self._tangent_metric
 
     def pi_lie_derivative(self, X):
@@ -270,7 +270,7 @@ class LeafwiseForm(_Components):
         return out
 
 
-def leafwise_symplectic(pi, split):
+def leafwise_symplectic(split):
     """The leaf symplectic form: omega(u, v) = pi(pi^{-1} u, pi^{-1} v).
 
     On the frames this is omega(ts_b, ts_c) = pi(perp_b, perp_c); the result
@@ -281,7 +281,7 @@ def leafwise_symplectic(pi, split):
     gram = [[None] * r for _ in range(r)]
     for b in range(r):
         for c in range(r):
-            val = pi.pairing(split.perp_frame[b], split.perp_frame[c])
+            val = split.pi.pairing(split.perp_frame[b], split.perp_frame[c])
             gram[b][c] = val
             if b < c and not val.is_zero:
                 comps[(b, c)] = val
@@ -293,7 +293,7 @@ def leafwise_symplectic(pi, split):
     return LeafwiseForm(split, 2, comps) if r >= 2 else LeafwiseForm.zero(split, min(2, r))
 
 
-def induced_tangent_metric(pi, g, split):
+def induced_tangent_metric(split):
     """The tangent metric with TS and H orthogonal:
 
     g(u, v)       = <pi^{-1} u, pi^{-1} v>   on the leaf tangents,
@@ -310,16 +310,16 @@ def induced_tangent_metric(pi, g, split):
     block = [[zero] * n for _ in range(n)]
     for b in range(r):
         for c in range(r):
-            block[b][c] = g.pairing(split.perp_frame[b], split.perp_frame[c])
+            block[b][c] = split.g.pairing(split.perp_frame[b], split.perp_frame[c])
     for a in range(n - r):
         for b in range(n - r):
-            block[r + a][r + b] = g.pairing(split.kernel_frame[a], split.kernel_frame[b])
+            block[r + a][r + b] = split.g.pairing(split.kernel_frame[a], split.kernel_frame[b])
     inv = split.frame_inverse()
     m = inv.transpose() @ FieldMatrix(chart, block) @ inv
     return TangentMetric(chart, m.entries)
 
 
-def leaf_connection(D, pi, split):
+def leaf_connection(D, split):
     """Leaf Levi-Civita structure coefficients via nabla_{pi(a)} pi(b) = pi(D_a b).
 
     Returns nabla[b][c] = coefficients of nabla_{ts_b} ts_c in ts_frame.
@@ -329,7 +329,7 @@ def leaf_connection(D, pi, split):
     for b in range(r):
         row = []
         for c in range(r):
-            v = pi.sharp(D.derivative(split.perp_frame[b], split.perp_frame[c]))
+            v = split.pi.sharp(D.derivative(split.perp_frame[b], split.perp_frame[c]))
             coeffs = split.leaf_coefficients(v)
             if coeffs is None:
                 raise InternalInconsistency("leaf connection leaves the leaf tangents")
@@ -338,10 +338,10 @@ def leaf_connection(D, pi, split):
     return out
 
 
-def parallel_omega_residuals(pi, split, nabla, omega=None):
+def parallel_omega_residuals(split, nabla, omega=None):
     """u.omega(v,w) - omega(nabla_u v, w) - omega(v, nabla_u w) on frame triples."""
     if omega is None:
-        omega = leafwise_symplectic(pi, split)
+        omega = leafwise_symplectic(split)
     r = split.rank
     res = {}
     for a in range(r):
@@ -376,7 +376,7 @@ def basic_one_form_routes(pi, alpha):
     n = chart.dim
     route_a = pi.sharp(alpha).is_zero
     if route_a:
-        d_alpha = d_form(alpha.as_pform())
+        d_alpha = exterior_d(alpha.as_pform())
         route_a = all(interior_vector(pi.sharp_basis(i), d_alpha).is_zero for i in range(n))
     dx0 = OneForm.basis(chart, 0)
     generators = chain(
@@ -411,13 +411,13 @@ def is_foliate(X, split):
     return True
 
 
-def foliate_report(pi, g, split, alpha, D=None):
+def foliate_report(split, alpha, D=None):
     """The four equivalent predicates for a kernel-valued 1-form.
 
     Returns {"basic", "parallel", "foliate", "invariant"}; on a structure
     with vanishing Dpi they agree, otherwise the report just records them.
-    pi is the splitting's bivector.
     """
+    pi, g = split.pi, split.g
     if D is None:
         D = levi_civita(pi, g)
     chart = pi.chart
@@ -436,7 +436,7 @@ def foliate_report(pi, g, split, alpha, D=None):
     }
 
 
-def invariance_report(pi, g, split, riemann_poisson):
+def invariance_report(split, riemann_poisson):
     """Frame-level invariance checks.
 
     * bracket_vs_lie: [a, b]_pi(X) = (L_X pi)(a, b) for a, b in the perp
@@ -451,8 +451,9 @@ def invariance_report(pi, g, split, riemann_poisson):
       frame; asserted only on structures with vanishing Dpi, reported
       otherwise.
 
-    pi is the splitting's bivector; each L_X pi is the splitting's memo.
+    Each L_X pi is the splitting's memo.
     """
+    pi = split.pi
     n = pi.chart.dim
     lie = [split.pi_lie_derivative(X) for X in split.ts_frame + split.h_frame]
     pairs = list(combinations(range(split.rank), 2))
@@ -495,7 +496,7 @@ def casimir_monomials(pi, max_degree):
     return [f for f in monos if pi.is_casimir(f)]
 
 
-def basic_pform_family(pi, g, p, max_degree):
+def basic_pform_family(pi, p, max_degree):
     """Candidate basic p-forms, unfiltered: each Casimir monomial times each
     wedge of p kernel-frame forms, monomial by monomial (the p = 0 family is
     the Casimir monomials as 0-forms).  ``cohomology.sharp_basic`` raises
@@ -509,13 +510,13 @@ def basic_pform_family(pi, g, p, max_degree):
     return [m * w for m in monos for w in wedges]
 
 
-def basic_form_family(pi, g, max_degree=2):
+def basic_form_family(pi, max_degree=2):
     """Kernel-frame forms times Casimir monomials, filtered to basic forms."""
-    candidates = (w.as_oneform() for w in basic_pform_family(pi, g, 1, max_degree))
+    candidates = (w.as_oneform() for w in basic_pform_family(pi, 1, max_degree))
     return [alpha for alpha in candidates if is_basic_one_form(pi, alpha)]
 
 
-def bundle_like_report(pi, g, split, max_degree=2):
+def bundle_like_report(split, max_degree=2):
     """Reinhart-style test: pairings of basic forms must be Casimir.
 
     For the enumerated family of basic 1-forms alpha, beta (each unordered
@@ -524,7 +525,8 @@ def bundle_like_report(pi, g, split, max_degree=2):
     reproduces the pairing.
     Raises Inconclusive when the family is empty.
     """
-    family = basic_form_family(pi, g, max_degree)
+    pi, g = split.pi, split.g
+    family = basic_form_family(pi, max_degree)
     if not family:
         raise Inconclusive("no basic 1-forms found in the enumerated family")
     tangent = split.tangent_metric()

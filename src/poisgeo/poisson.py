@@ -15,7 +15,7 @@ metrics share.
 
 from itertools import combinations
 
-from .errors import InternalInconsistency, PoisgeoError
+from .errors import DegreeOverflow, InternalInconsistency
 from .linalg import BilinearForm
 from .scalar import ScalarField
 from .tensor import (
@@ -26,7 +26,6 @@ from .tensor import (
     _same_chart,
     _sharp,
     ce_differential,
-    d_form,
     exterior_d,
     interior_vector,
     lie_bracket,
@@ -167,14 +166,14 @@ class Bivector(BilinearForm):
         """
         _same_chart(self, alpha)
         pa = self.sharp(alpha)
-        da = d_form(alpha.as_pform())
+        da = exterior_d(alpha.as_pform())
         for beta in betas:
             _same_chart(self, beta)
             pb = self.sharp(beta)
             pair = self.pairing(alpha, beta)
             _guard(beta.pair(pa) - alpha.pair(pb) - 2 * pair, alpha, beta)
             line2 = (
-                interior_vector(pa, d_form(beta.as_pform()))
+                interior_vector(pa, exterior_d(beta.as_pform()))
                 - interior_vector(pb, da)
                 + exterior_d(pair)
             )
@@ -261,7 +260,7 @@ class Bivector(BilinearForm):
         n = chart.dim
         p = Q.degree
         if p > n:
-            raise PoisgeoError(f"d_pi of a degree-{p} multivector in dimension {n}")
+            raise DegreeOverflow(f"d_pi of a degree-{p} multivector in dimension {n}")
         anchors, brackets = self.cotangent_algebroid()
         comps = ce_differential(chart, anchors, brackets, Q.comps, p, n)
         return _alternating(PVector, chart, p + 1, comps)

@@ -334,7 +334,7 @@ def extract_foliation_input(pi, g, declared_rank, samples):
     """
     split = split_cotangent(pi, g, declared_rank, samples)
     tangent = split.tangent_metric()
-    omega = leafwise_symplectic(pi, split).as_coordinate_form()
+    omega = leafwise_symplectic(split).as_coordinate_form()
     return FoliationInput(pi.chart, split.ts_frame, tangent, omega, samples), split
 
 

@@ -469,12 +469,16 @@ def interior_form(alpha, Q):
 
 
 def exterior_d(omega):
-    """Coordinate exterior derivative; accepts a ScalarField as a 0-form."""
+    """Coordinate exterior derivative; accepts a ScalarField as a 0-form.
+
+    d of a top-degree form is the zero (dim + 1)-form, the zero space, so
+    every contraction of it is the zero form of omega's degree.
+    """
     if isinstance(omega, ScalarField):
         omega = scalar_as_pform(omega)
     chart = omega.chart
     n = chart.dim
-    if omega.degree >= n:
+    if omega.degree > n:
         raise DegreeOverflow(f"d of a degree-{omega.degree} form in dimension {n}")
     out = {}
     for idx, c in omega.comps.items():
@@ -491,21 +495,9 @@ def exterior_d(omega):
     return _alternating(PForm, chart, omega.degree + 1, out)
 
 
-def d_form(omega):
-    """d omega, with the d of a top-degree form the zero (dim + 1)-form.
-
-    ``exterior_d`` itself refuses a top-degree form; degree dim + 1 is the
-    zero space, so every contraction of this d is the zero form of omega's
-    degree.
-    """
-    if omega.degree == omega.chart.dim:
-        return PForm.zero(omega.chart, omega.degree + 1)
-    return exterior_d(omega)
-
-
 def interior_d(X, omega):
     """i_X d omega; zero when omega has top degree, so that d omega vanishes."""
-    return interior_vector(X, d_form(omega))
+    return interior_vector(X, exterior_d(omega))
 
 
 def lie_bracket(X, Y):

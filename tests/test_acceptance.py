@@ -207,7 +207,7 @@ def test_criterion_04_bracket_pairing_vs_lie_derivative(corpus):
         if name == "so3_star":
             continue  # no valid splitting at the bundled samples
         split = split_cotangent(spec.pi, spec.cometric, spec.declared_rank, spec.samples)
-        rep = invariance_report(spec.pi, spec.cometric, split, True)
+        rep = invariance_report(split, True)
         assert rep["bracket_vs_lie_ok"], name
 
     # the correction term is genuinely necessary for non-constant X
@@ -232,14 +232,14 @@ def test_criterion_05_foliate_predicate_equivalence(corpus):
             alpha = OneForm.zero(spec.chart)
             for kappa in split.kernel_frame:
                 alpha = alpha + gen.rand_poly_field(r, spec.chart) * kappa
-            rep = foliate_report(spec.pi, spec.cometric, split, alpha, D)
+            rep = foliate_report(split, alpha, D)
             assert len(set(rep.values())) == 1, (name, rep)
-        family = basic_form_family(spec.pi, spec.cometric, max_degree=2)
+        family = basic_form_family(spec.pi, max_degree=2)
         assert family, name
         for a in family:
             for b in family:
                 assert spec.pi.is_casimir(spec.cometric.pairing(a, b)), name
-        report = bundle_like_report(spec.pi, spec.cometric, split)
+        report = bundle_like_report(split)
         assert report["ok"], name
     _verdict(5, "foliate-predicates-and-bundle-like", started)
 
@@ -270,7 +270,7 @@ def test_criterion_07_basic_forms_are_cocycles(corpus):
         from poisgeo import basic_pform_family
 
         for p in (0, 1):
-            family = basic_pform_family(spec.pi, spec.cometric, p, 3)
+            family = basic_pform_family(spec.pi, p, 3)
             if spec.chart.dim == 2 and p == 1:
                 assert family == []  # no kernel directions on the symplectic plane
                 continue
@@ -308,7 +308,7 @@ def test_criterion_08_truncated_cohomology(corpus):
         split = split_cotangent(spec.pi, spec.cometric, spec.declared_rank, spec.samples)
         for p in (0, 1, 2):
             for d in (0, 1, 2):
-                rep = dpi_preserves_split(spec.pi, spec.cometric, split, p, d)
+                rep = dpi_preserves_split(split, p, d)
                 assert rep["preserved"], (name, p, d)
     elapsed = time.monotonic() - started
     assert elapsed < 60.0, f"criterion 8 runtime {elapsed:.2f}s exceeds 60s"

@@ -27,7 +27,7 @@ def _spec_path(tmp_path):
 def test_report_fails_once_per_unordered_pair(tmp_path):
     spec = load_spec_file(_spec_path(tmp_path))[1]
     split = split_cotangent(spec.pi, spec.cometric, spec.declared_rank, spec.samples)
-    rep = bundle_like_report(spec.pi, spec.cometric, split)
+    rep = bundle_like_report(split)
     assert rep["ok"] is False
     # z^k dz for the Casimir monomials 1, z, z^2
     assert rep["family_size"] == 3

@@ -182,13 +182,13 @@ class TestSplitting:
     def test_dpi_preserves_split(self, corpus, split_flat, split_zmetric):
         for split in (split_flat, split_zmetric):
             for p in (0, 1):
-                rep = dpi_preserves_split(split.pi, split.g, split, p, 2)
+                rep = dpi_preserves_split(split, p, 2)
                 assert rep["preserved"], (p, rep)
 
     def test_violation_on_non_parallel(self, corpus):
         spec = corpus["r3_quadratic_nonparallel"]
         split = split_cotangent(spec.pi, spec.cometric, 2, spec.samples)
-        rep = dpi_preserves_split(spec.pi, spec.cometric, split, 1, 1)
+        rep = dpi_preserves_split(split, 1, 1)
         assert not rep["preserved"]
         assert rep["witness"] is not None
 
@@ -254,7 +254,7 @@ class TestComparisonMaps:
         """d_pi of the metric image of every enumerated basic form vanishes."""
         for split in (split_flat, split_zmetric):
             for p in (0, 1):
-                family = basic_pform_family(split.pi, split.g, p, 3)
+                family = basic_pform_family(split.pi, p, 3)
                 assert family
                 for w in family:
                     T = sharp_basic(split, w)
@@ -264,7 +264,7 @@ class TestComparisonMaps:
 class TestWindowComparison:
     def test_flat_r3(self, split_zmetric, corpus):
         spec = corpus["r3_flat_zmetric"]
-        rep = thm31_cochain_report(spec.pi, spec.cometric, split_zmetric, 1, 3)
+        rep = thm31_cochain_report(split_zmetric, 1, 3)
         assert rep["basic_forms_closed"] and rep["pushforwards_closed"]
         assert rep["betti_pi"] == 4
         assert rep["basic_window_dim"] == 4
@@ -274,14 +274,14 @@ class TestWindowComparison:
     def test_plane(self, corpus):
         spec = corpus["r2_flat"]
         split = split_cotangent(spec.pi, spec.cometric, 2, spec.samples)
-        rep = thm31_cochain_report(spec.pi, spec.cometric, split, 1, 4)
+        rep = thm31_cochain_report(split, 1, 4)
         assert rep["betti_pi"] == 0 and rep["dimension_match"]
 
     def test_top_multivector_degree(self, corpus):
         """At p = rank = dim the target space is zero, so cocycles are trivial."""
         spec = corpus["r2_flat"]
         split = split_cotangent(spec.pi, spec.cometric, 2, spec.samples)
-        rep = thm31_cochain_report(spec.pi, spec.cometric, split, 2, 3)
+        rep = thm31_cochain_report(split, 2, 3)
         assert rep["pushforwards_closed"]
         assert rep["dimension_match"] is None
 

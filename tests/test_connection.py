@@ -244,7 +244,7 @@ class TestCyclicSum:
 class TestElementaryProperties:
     def test_flat_passes(self, pi_flat3, g_id3):
         split = split_cotangent(pi_flat3, g_id3, 2, [[0, 0, 0], [1, 1, 2]])
-        rep = prop_elementary_report(pi_flat3, g_id3, split)
+        rep = prop_elementary_report(split)
         assert all(rep.values())
 
     def test_parallel_corpus_passes(self, rp_corpus):
@@ -252,12 +252,12 @@ class TestElementaryProperties:
             split = split_cotangent(
                 spec.pi, spec.cometric, spec.declared_rank, spec.samples
             )
-            rep = prop_elementary_report(spec.pi, spec.cometric, split)
+            rep = prop_elementary_report(split)
             assert all(rep.values()), (name, rep)
 
     def test_quadratic_fails_kernel_kills(self, pi_quadratic, g_id3):
         split = split_cotangent(pi_quadratic, g_id3, 2, [[0, 0, 0], [1, 1, 2]])
-        rep = prop_elementary_report(pi_quadratic, g_id3, split)
+        rep = prop_elementary_report(split)
         assert not rep["kernel_kills"]
         D = levi_civita(pi_quadratic, g_id3)
         dz, dx = OneForm.basis(CH3, 2), OneForm.basis(CH3, 0)
@@ -266,7 +266,7 @@ class TestElementaryProperties:
     def test_plane_vacuous(self, pi_flat2, chart2):
         g = CoMetric.identity(chart2)
         split = split_cotangent(pi_flat2, g, 2, [[0, 0]])
-        rep = prop_elementary_report(pi_flat2, g, split)
+        rep = prop_elementary_report(split)
         assert all(rep.values())
 
 
@@ -319,9 +319,9 @@ class TestCurvedParallelExample:
         samples = [[0, 0], [1, 2]]
         split = split_cotangent(pi, g, 2, samples)
         D = levi_civita(pi, g)
-        nabla = leaf_connection(D, pi, split)
+        nabla = leaf_connection(D, split)
         assert any(not c.is_zero for row in nabla for cell in row for c in cell)
-        residuals = parallel_omega_residuals(pi, split, nabla)
+        residuals = parallel_omega_residuals(split, nabla)
         assert all(v.is_zero for v in residuals.values())
         result = round_trip(pi, g, 2, samples)
         assert result["pi_equal"] and result["cometric_equal"]

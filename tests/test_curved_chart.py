@@ -100,7 +100,7 @@ def test_casimirs_are_functions_of_the_leaf_label(structure):
 
 def test_invariance_distinguishes_the_two_bracket_checks(structure, split):
     pi, g = structure
-    rep = invariance_report(pi, g, split, True)
+    rep = invariance_report(split, True)
     assert rep["bracket_vs_lie_ok"]          # perp pairs vs normal frame
     assert rep["perp_invariance_ok"]
     assert not rep["coordinate_bracket_ok"]  # coordinate pairs genuinely differ
@@ -110,8 +110,8 @@ def test_invariance_distinguishes_the_two_bracket_checks(structure, split):
 def test_leaf_geometry_parallel(structure, split):
     pi, g = structure
     D = levi_civita(pi, g)
-    nabla = leaf_connection(D, pi, split)
-    residuals = parallel_omega_residuals(pi, split, nabla)
+    nabla = leaf_connection(D, split)
+    residuals = parallel_omega_residuals(split, nabla)
     assert all(v.is_zero for v in residuals.values())
 
 
@@ -119,11 +119,11 @@ def test_foliate_predicates_and_bundle_like(structure, split):
     pi, g = structure
     D = levi_civita(pi, g)
     kappa = split.kernel_frame[0]
-    rep = foliate_report(pi, g, split, kappa, D)
+    rep = foliate_report(split, kappa, D)
     assert all(rep.values()), rep
-    family = basic_form_family(pi, g, 2)
+    family = basic_form_family(pi, 2)
     assert len(family) == 1  # only constant Casimir monomials exist
-    bl = bundle_like_report(pi, g, split)
+    bl = bundle_like_report(split)
     assert bl["ok"]
 
 

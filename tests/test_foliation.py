@@ -94,19 +94,19 @@ class TestSplit:
 class TestLeafwiseSymplectic:
     def test_flat_value(self, splits):
         sp = splits["r3_flat"]
-        om = leafwise_symplectic(sp.pi, sp)
+        om = leafwise_symplectic(sp)
         ex, ey = VectorField.basis(CH3, 0), VectorField.basis(CH3, 1)
         assert om.apply([ex, ey]) == 1
 
     def test_quadratic_value(self, splits):
         sp = splits["r3_quadratic_nonparallel"]
-        om = leafwise_symplectic(sp.pi, sp)
+        om = leafwise_symplectic(sp)
         ex, ey = VectorField.basis(CH3, 0), VectorField.basis(CH3, 1)
         assert om.apply([ex, ey]) == P("1/(1+z^2)")
 
     def test_antisymmetry(self, splits):
         sp = splits["r3_flat"]
-        om = leafwise_symplectic(sp.pi, sp)
+        om = leafwise_symplectic(sp)
         r = gen.rng(61)
         for _ in range(5):
             u = gen.rand_poly_field(r, CH3) * sp.ts_frame[0] + gen.rand_poly_field(
@@ -124,7 +124,7 @@ class TestLeafwiseSymplectic:
             # the rank check already catches degeneracy at the origin sample
             split_cotangent(pi, g, 2, [[0, 0]])
         sp = split_cotangent(pi, g, 2, [[1, 1]])
-        om = leafwise_symplectic(pi, sp)
+        om = leafwise_symplectic(sp)
         ex, ey = VectorField.basis(chart2, 0), VectorField.basis(chart2, 1)
         assert om.apply([ex, ey]) == parse_scalar("1/x", chart2)
 
@@ -132,13 +132,13 @@ class TestLeafwiseSymplectic:
 class TestInducedMetric:
     def test_identity_case(self, splits):
         sp = splits["r3_flat"]
-        tm = induced_tangent_metric(sp.pi, sp.g, sp)
+        tm = induced_tangent_metric(sp)
         assert tm == TangentMetric.identity(CH3)
 
     def test_zmetric_case(self, splits):
         """Cometric diag(1,1,1/(1+z^2)) induces tangent metric diag(1,1,1+z^2)."""
         sp = splits["r3_flat_zmetric"]
-        tm = induced_tangent_metric(sp.pi, sp.g, sp)
+        tm = induced_tangent_metric(sp)
         one = ScalarField.one(CH3)
         zero = ScalarField.zero(CH3)
         expect = TangentMetric(
@@ -150,7 +150,7 @@ class TestInducedMetric:
     def test_block_orthogonal_and_positive(self, splits):
         for name in ("r3_flat", "r3_flat_zmetric"):
             sp = splits[name]
-            tm = induced_tangent_metric(sp.pi, sp.g, sp)
+            tm = induced_tangent_metric(sp)
             tm.validate(sp.samples)
             for t in sp.ts_frame:
                 for h in sp.h_frame:
@@ -164,7 +164,7 @@ class TestInducedMetric:
         pi = Bivector.from_upper(chart2, {(0, 1): one})
         g = CoMetric.diagonal(chart2, [one, parse_scalar("2", chart2)])
         sp = split_cotangent(pi, g, 2, [[0, 0]])
-        tm = induced_tangent_metric(pi, g, sp)
+        tm = induced_tangent_metric(sp)
         inverse = g.field_matrix().inverse()
         assert tm.entry(0, 0) == parse_scalar("2", chart2)
         assert tm.entry(1, 1) == one
@@ -176,9 +176,9 @@ class TestLeafConnection:
         for name in ("r2_flat", "r3_flat", "r3_flat_zmetric"):
             sp = splits[name]
             D = levi_civita(sp.pi, sp.g)
-            nabla = leaf_connection(D, sp.pi, sp)
+            nabla = leaf_connection(D, sp)
             assert all(c.is_zero for row in nabla for cell in row for c in cell)
-            res = parallel_omega_residuals(sp.pi, sp, nabla)
+            res = parallel_omega_residuals(sp, nabla)
             assert all(v.is_zero for v in res.values()), name
 
     def test_diagnostic_mode_on_non_parallel_structure(self, splits):
@@ -191,8 +191,8 @@ class TestLeafConnection:
         """
         sp = splits["r3_quadratic_nonparallel"]
         D = levi_civita(sp.pi, sp.g)
-        nabla = leaf_connection(D, sp.pi, sp)
-        res = parallel_omega_residuals(sp.pi, sp, nabla)
+        nabla = leaf_connection(D, sp)
+        res = parallel_omega_residuals(sp, nabla)
         assert set(res) == {(a, b, c) for a in range(2) for b in range(2) for c in range(2)}
         assert all(v.is_zero for v in res.values())
 
@@ -220,7 +220,7 @@ class TestBasicForms:
                 assert a == b
 
     def test_family_enumeration(self, pi_flat3, g_id3, g_z3):
-        fam = basic_form_family(pi_flat3, g_id3, max_degree=2)
+        fam = basic_form_family(pi_flat3, max_degree=2)
         assert len(fam) == 3  # dz, z dz, z^2 dz
         assert casimir_monomials(pi_flat3, 2) == [P("1"), P("z"), P("z^2")]
 
@@ -241,11 +241,11 @@ class TestFoliate:
         x = ScalarField.coordinate(CH3, 0)
         dz = OneForm.basis(CH3, 2)
         D = levi_civita(sp.pi, sp.g)
-        rep = foliate_report(sp.pi, sp.g, sp, dz, D)
+        rep = foliate_report(sp, dz, D)
         assert rep == {"basic": True, "parallel": True, "foliate": True, "invariant": True}
-        rep = foliate_report(sp.pi, sp.g, sp, z * dz, D)
+        rep = foliate_report(sp, z * dz, D)
         assert all(rep.values())
-        rep = foliate_report(sp.pi, sp.g, sp, x * dz, D)
+        rep = foliate_report(sp, x * dz, D)
         assert not any(rep.values())
 
     def test_predicates_agree_on_random_kernel_forms(self, splits):
@@ -258,7 +258,7 @@ class TestFoliate:
             for _ in range(20):
                 coeff = gen.rand_poly_field(r, CH3)
                 alpha = coeff * sp.kernel_frame[0]
-                rep = foliate_report(sp.pi, sp.g, sp, alpha, D)
+                rep = foliate_report(sp, alpha, D)
                 assert len(set(rep.values())) == 1, (name, rep)
                 agree_true += all(rep.values())
             assert agree_true >= 1  # casimir-coefficient draws do appear
@@ -266,7 +266,7 @@ class TestFoliate:
     def test_basic_pairings_are_casimir(self, splits):
         for name in ("r3_flat", "r3_flat_zmetric"):
             sp = splits[name]
-            fam = basic_form_family(sp.pi, sp.g, max_degree=2)
+            fam = basic_form_family(sp.pi, max_degree=2)
             for a in fam:
                 for b in fam:
                     assert sp.pi.is_casimir(sp.g.pairing(a, b))
@@ -276,7 +276,7 @@ class TestInvariance:
     def test_rp_cases(self, splits):
         for name in ("r2_flat", "r3_flat", "r3_flat_zmetric"):
             sp = splits[name]
-            rep = invariance_report(sp.pi, sp.g, sp, True)
+            rep = invariance_report(sp, True)
             assert rep["bracket_vs_lie_ok"], name
             assert rep["perp_invariance_ok"], name
 
@@ -292,7 +292,7 @@ class TestInvariance:
 
     def test_quadratic_violates_perp_invariance(self, splits):
         sp = splits["r3_quadratic_nonparallel"]
-        rep = invariance_report(sp.pi, sp.g, sp, False)
+        rep = invariance_report(sp, False)
         assert rep["bracket_vs_lie_ok"]
         assert not rep["perp_invariance_ok"]
         assert rep["perp_invariance_residuals"][0] == P("2*z")
@@ -302,7 +302,7 @@ class TestBundleLike:
     def test_rp_cases_pass(self, splits):
         for name in ("r3_flat", "r3_flat_zmetric"):
             sp = splits[name]
-            rep = bundle_like_report(sp.pi, sp.g, sp)
+            rep = bundle_like_report(sp)
             assert rep["ok"] and rep["family_size"] == 3
 
     def test_pairing_value(self, splits):
@@ -324,7 +324,7 @@ class TestLeafwiseDifferential:
     def test_top_degree_gives_zero(self, splits):
         """d_F of the leafwise symplectic form on rank-2 leaves is zero."""
         sp = splits["r3_quadratic_nonparallel"]
-        om = leafwise_symplectic(sp.pi, sp)
+        om = leafwise_symplectic(sp)
         top = leafwise_d(sp, om)
         assert top.is_zero and top.degree == 3
         from poisgeo.errors import DegreeOverflow

@@ -83,12 +83,12 @@ def _forms(split):
 
 def _agrees_with_reference(pi, g, split):
     assert split.frame_inverse() == naive_frame_inverse(split)
-    tangent = induced_tangent_metric(pi, g, split)
+    tangent = induced_tangent_metric(split)
     assert tangent == naive_induced_tangent_metric(pi, g, split)
     assert split.tangent_metric() == tangent
     assert split.tangent_metric() is split.tangent_metric()
     for rp in (True, False):
-        assert invariance_report(pi, g, split, rp) == naive_invariance_report(pi, g, split, rp)
+        assert invariance_report(split, rp) == naive_invariance_report(pi, g, split, rp)
     forms = _forms(split)
     for a in forms:
         for b in forms:

@@ -3,6 +3,7 @@
 import pytest
 
 from poisgeo import (
+    Bivector,
     Chart,
     OneForm,
     PForm,
@@ -133,10 +134,17 @@ class TestExteriorDerivative:
                 assert exterior_d(exterior_d(w)).is_zero
 
     def test_top_degree_error(self):
+        """d of a top-degree form is the zero 4-form; d of that and d_pi of a
+        4-vector raise DegreeOverflow."""
         r = gen.rng(9)
         w = gen.rand_pform(r, CH3, 3)
+        dw = exterior_d(w)
+        assert dw == PForm.zero(CH3, 4)
         with pytest.raises(DegreeOverflow):
-            exterior_d(w)
+            exterior_d(dw)
+        pi = Bivector.from_upper(CH3, {(0, 1): P("z")})
+        with pytest.raises(DegreeOverflow):
+            pi.d_pi(PVector.zero(CH3, 4))
 
 
 class TestLieBracket:
