@@ -16,7 +16,7 @@ from .errors import PoisgeoError
 from .kernel import ACTIVE as kernel_name
 from .linalg import FieldMatrix, RationalMatrix
 from .parser import parse_scalar
-from .scalar import ScalarField, coordinate_fields
+from .scalar import ScalarField
 from .tensor import (
     OneForm,
     PForm,

@@ -44,8 +44,8 @@ from .linalg import RationalMatrix, sparse_rank
 from .polyops import monomials_upto
 from .scalar import ScalarField
 from .tensor import (
-    OneForm,
     PVector,
+    _pullback,
     _sort_sign,
     ce_differential,
     interior_d,
@@ -215,7 +215,8 @@ class WindowComplex:
     The algebroid is given on a frame e_0..e_{k-1} as ``tensor.ce_differential``
     reads it: e_a acts on functions by ``anchors[a]`` and [e_a, e_b] has the
     coefficients ``structure[a][b]`` (a < b).  ``basis(p, bound)`` builds a
-    window and ``shift`` is the worst-case increase in coefficient degree.
+    window and ``shift`` is the worst-case increase in coefficient degree
+    (``_ce_shift``), read off the anchors and brackets.
     The differentials of the coordinates are read off the anchors, the p = 0
     case of the CE formula: d(x_a)(e_b) = anchors[b] . x_a, the a-th
     component of the b-th anchor.  ``columns`` keeps, per frame tuple I of
@@ -225,12 +226,12 @@ class WindowComplex:
 
     __slots__ = ("chart", "basis", "anchors", "structure", "shift", "d_coords", "_frame_terms")
 
-    def __init__(self, chart, basis, anchors, structure, shift):
+    def __init__(self, chart, basis, anchors, structure):
         self.chart = chart
         self.basis = basis
         self.anchors = anchors
         self.structure = structure
-        self.shift = shift
+        self.shift = _ce_shift(anchors, structure)
         self.d_coords = [
             _terms({(b,): X.comps[a] for b, X in enumerate(anchors) if not X.comps[a].is_zero})
             for a in range(chart.dim)
@@ -331,11 +332,27 @@ class WindowComplex:
         return report
 
 
+def _ce_shift(anchors, structure):
+    """Worst-case increase in coefficient degree under a CE differential with
+    polynomial data: max(anchor degree - 1, bracket degree), and -1 when both
+    vanish.  The anchor term differentiates a coefficient and multiplies it by
+    an anchor component; the bracket term multiplies it by a structure
+    function.  For d_pi that is pi's largest entry degree - 1, the brackets
+    d(pi_ab) having one degree less than the entries."""
+    anchor_fields = [c for X in anchors for c in X.comps]
+    bracket_fields = [c for row in structure for cell in row for c in cell]
+    if not all(c.is_polynomial for c in anchor_fields + bracket_fields):
+        raise NonPolynomialBivector("windowed cohomology needs polynomial anchors and brackets")
+    return max(
+        [-1]
+        + [c.total_degree() - 1 for c in anchor_fields]
+        + [c.total_degree() for c in bracket_fields]
+    )
+
+
 def degree_shift(pi):
     """Worst-case increase in coefficient degree under d_pi."""
-    if not pi.is_polynomial():
-        raise NonPolynomialBivector("d_pi windows need polynomial bivector entries")
-    return pi.max_entry_degree() - 1
+    return _dpi_complex(pi).shift
 
 
 def _dpi_complex(pi):
@@ -343,10 +360,9 @@ def _dpi_complex(pi):
     built once per bivector and kept on it."""
     if pi._dpi_complex is None:
         chart = pi.chart
-        shift = degree_shift(pi)
         anchors, brackets = pi.cotangent_algebroid()
         pi._dpi_complex = WindowComplex(
-            chart, lambda p, bound: GradedBasis(chart, p, bound), anchors, brackets, shift
+            chart, lambda p, bound: GradedBasis(chart, p, bound), anchors, brackets
         )
     return pi._dpi_complex
 
@@ -443,23 +459,13 @@ def dpi_preserves_split(split, p, d):
 
 def pi_pushforward(split, omega):
     """Leafwise form -> multivector: (pi w)(a_1..a_p) = w(pi(a_1), .., pi(a_p))."""
-    chart = split.chart
-    n = chart.dim
-    p = omega.degree
-    if p == 0:
-        return PVector(chart, 0, {(): omega.component(())})
     sharp_rows = []
-    for i in range(n):
+    for i in range(split.chart.dim):
         coeffs = split.leaf_coefficients(split.pi.sharp_basis(i))
         if coeffs is None:
             raise InternalInconsistency("pi image leaves the leaf tangents")
         sharp_rows.append(coeffs)
-    comps = {}
-    for idx in combinations(range(n), p):
-        val = omega.apply_frame_coeffs([sharp_rows[i] for i in idx])
-        if not val.is_zero:
-            comps[idx] = val
-    return PVector(chart, p, comps)
+    return _pullback(PVector, omega, sharp_rows)
 
 
 def pushforward_naturality_residual(split, omega):
@@ -490,56 +496,25 @@ def sharp_basic(split, omega):
     ok, witness = is_basic_pform(split, omega)
     if not ok:
         raise NotBasic(witness)
-    chart = split.chart
-    n = chart.dim
-    p = omega.degree
-    if p == 0:
-        return PVector(chart, 0, {(): omega.component(())})
-    sharps = [split.g.sharp(OneForm.basis(chart, i)) for i in range(n)]
-    comps = {}
-    for idx in combinations(range(n), p):
-        val = omega.apply([sharps[i] for i in idx])
-        if not val.is_zero:
-            comps[idx] = val
-    return PVector(chart, p, comps)
+    # row i of the cometric matrix holds the components of g_sharp(dx_i)
+    return _pullback(PVector, omega, split.g.matrix)
 
 
 def leafwise_degree_shift(split, structure):
     """Worst-case coefficient degree increase of d_F on polynomial windows."""
-    tdeg = 0
-    for t in split.ts_frame:
-        for c in t.comps:
-            if not c.is_polynomial:
-                raise NonPolynomialBivector("leafwise windows need a polynomial leaf frame")
-            tdeg = max(tdeg, c.total_degree())
-    cdeg = -1
-    for row in structure:
-        for cell in row:
-            for c in cell:
-                if not c.is_polynomial:
-                    raise NonPolynomialBivector(
-                        "leafwise windows need polynomial structure functions"
-                    )
-                cdeg = max(cdeg, c.total_degree())
-    return max(tdeg - 1, cdeg)
+    return _ce_shift(split.ts_frame, structure)
 
 
 def _leaf_complex(split, structure):
     """The windowed complex of d_F (the Lie algebroid of the leaf tangents)."""
     return WindowComplex(
-        split.chart,
-        lambda p, bound: LeafBasis(split, p, bound),
-        split.ts_frame,
-        structure,
-        leafwise_degree_shift(split, structure),
+        split.chart, lambda p, bound: LeafBasis(split, p, bound), split.ts_frame, structure
     )
 
 
-def leafwise_truncated_betti(split, p, d, structure=None):
+def leafwise_truncated_betti(split, p, d):
     """Windowed leafwise cohomology dimension: truncated_betti's count for d_F."""
-    if structure is None:
-        structure = _ts_structure_coefficients(split)
-    return _leaf_complex(split, structure).betti(p, d)
+    return _leaf_complex(split, _ts_structure_coefficients(split)).betti(p, d)
 
 
 def thm31_cochain_report(split, p, d):

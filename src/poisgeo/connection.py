@@ -17,12 +17,7 @@ pairing are the bivector's.
 from fractions import Fraction
 
 from .chart import as_point
-from .errors import (
-    NotPositiveDefiniteAt,
-    NotSymmetric,
-    PoisgeoError,
-    SingularMetric,
-)
+from .errors import NotPositiveDefiniteAt, PoisgeoError, SingularMetric
 from .linalg import BilinearForm, FieldMatrix, _scaled_row_at
 from .scalar import ScalarField
 from .tensor import OneForm, _sharp
@@ -42,6 +37,13 @@ class SymmetricForm(BilinearForm):
     def identity(cls, chart):
         return cls(chart, FieldMatrix.identity(chart, chart.dim).entries)
 
+    def validate(self, samples):
+        """Positive-definiteness at every sample (``check_positive_definite``);
+        returns the checked points.  Symmetry holds from construction."""
+        if not samples:
+            raise PoisgeoError("need at least one sample point")
+        return check_positive_definite(self.chart, self.matrix, samples)
+
 
 class CoMetric(SymmetricForm):
     """The cometric: entry(i, j) = <dx_i, dx_j>, pairing(alpha, beta) = <alpha, beta>."""
@@ -58,22 +60,6 @@ class CoMetric(SymmetricForm):
     def sharp(self, alpha):
         """The metric identification T*P -> TP: beta(sharp(alpha)) = <alpha, beta>."""
         return _sharp(self, alpha)
-
-    def validate(self, samples):
-        """Symmetry symbolically plus Sylvester positivity at every sample.
-
-        Returns the list of checked points; raises NotSymmetric /
-        NotPositiveDefiniteAt on failure.  Symmetry already held at
-        construction; re-checked here so a report can cite this method.
-        """
-        n = self.chart.dim
-        for i in range(n):
-            for j in range(i + 1, n):
-                if self.matrix[i][j] != self.matrix[j][i]:
-                    raise NotSymmetric(f"entries ({i},{j}) and ({j},{i}) differ")
-        if not samples:
-            raise PoisgeoError("need at least one sample point")
-        return check_positive_definite(self.chart, self.matrix, samples)
 
     def leading_minor(self, k):
         """Leading principal k x k minor as a symbolic determinant."""
@@ -324,11 +310,11 @@ def riemann_poisson_defect(pi, g, D=None):
     return None
 
 
-def is_riemann_poisson(pi, g, D=None):
+def is_riemann_poisson(pi, g):
     """True iff pi is Poisson and Dpi vanishes on all coordinate triples."""
     if not pi.is_poisson():
         return False
-    return riemann_poisson_defect(pi, g, D) is None
+    return riemann_poisson_defect(pi, g) is None
 
 
 def cyclic_d_pi(D, pi, alpha, beta, gamma_form):
@@ -344,7 +330,7 @@ def cyclic_d_pi(D, pi, alpha, beta, gamma_form):
     )
 
 
-def prop_elementary_report(split, D=None):
+def prop_elementary_report(split):
     """The three elementary closure properties of the connection.
 
     1. pi(b) = 0 implies pi(D_a b) = 0 for every coordinate a;
@@ -355,8 +341,7 @@ def prop_elementary_report(split, D=None):
     "perp_closed": bool} evaluated on the split frames.
     """
     pi, g = split.pi, split.g
-    if D is None:
-        D = levi_civita(pi, g)
+    D = levi_civita(pi, g)
     chart = pi.chart
     n = chart.dim
     coords = [OneForm.basis(chart, i) for i in range(n)]

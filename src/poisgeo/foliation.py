@@ -29,7 +29,7 @@ from .errors import (
     RankOdd,
     SingularLeafwiseForm,
 )
-from .connection import SymmetricForm, check_positive_definite, levi_civita
+from .connection import SymmetricForm
 from .linalg import FieldMatrix, annihilator
 from .polyops import monomials_upto
 from .scalar import ScalarField
@@ -39,12 +39,17 @@ from .tensor import (
     VectorField,
     _alternating,
     _Components,
+    _pullback,
     ce_differential,
     exterior_d,
     interior_vector,
     lie_bracket,
     lie_derivative_bivector,
 )
+
+
+# The largest Casimir-coefficient degree of the bundle-like test's basic forms
+BUNDLE_LIKE_DEGREE = 2
 
 
 class TangentMetric(SymmetricForm):
@@ -59,10 +64,6 @@ class TangentMetric(SymmetricForm):
         rhs = FieldMatrix(self.chart, [[c] for c in alpha.comps])
         sol = gm.solve(rhs)
         return VectorField(self.chart, [sol.entry(i, 0) for i in range(self.chart.dim)])
-
-    def validate(self, samples):
-        """Positive-definiteness at every sample (Sylvester's criterion)."""
-        return check_positive_definite(self.chart, self.matrix, samples)
 
 
 class FoliationSplit:
@@ -241,10 +242,6 @@ class LeafwiseForm(_Components):
     def split(self):
         return self.owner
 
-    def apply_frame_coeffs(self, coeff_rows):
-        """Evaluate on leaf vectors given by their ts_frame coefficient rows."""
-        return self._apply(coeff_rows)
-
     def apply(self, vectors):
         """Evaluate on leaf-tangent vector fields (decomposed into ts_frame)."""
         rows = []
@@ -253,21 +250,14 @@ class LeafwiseForm(_Components):
             if coeffs is None:
                 raise NotTangent(f"{X!r} is not tangent to the leaves")
             rows.append(coeffs)
-        return self.apply_frame_coeffs(rows)
+        return self._apply(rows)
 
     def as_coordinate_form(self):
-        """Extend to a coordinate p-form killed by the normal frame."""
-        co = self.split.coframe()[: self.split.rank]
-        chart = self.chart
-        if self.degree == 0:
-            return PForm(chart, 0, {(): self.component(())})
-        out = PForm.zero(chart, self.degree)
-        for idx, c in self.comps.items():
-            w = co[idx[0]].as_pform()
-            for i in idx[1:]:
-                w = w.wedge(co[i].as_pform())
-            out = out + c * w
-        return out
+        """Extend to a coordinate p-form killed by the normal frame: dd_i has
+        the leaf coefficients of the leaf coframe at coordinate i."""
+        r = self.split.rank
+        rows = [col[:r] for col in self.split.frame_inverse().transpose().entries]
+        return _pullback(PForm, self, rows)
 
 
 def leafwise_symplectic(split):
@@ -411,15 +401,14 @@ def is_foliate(X, split):
     return True
 
 
-def foliate_report(split, alpha, D=None):
-    """The four equivalent predicates for a kernel-valued 1-form.
+def foliate_report(split, alpha, D):
+    """The four equivalent predicates for a kernel-valued 1-form, D the
+    splitting's Levi-Civita connection.
 
     Returns {"basic", "parallel", "foliate", "invariant"}; on a structure
     with vanishing Dpi they agree, otherwise the report just records them.
     """
     pi, g = split.pi, split.g
-    if D is None:
-        D = levi_civita(pi, g)
     chart = pi.chart
     basic = is_basic_one_form(pi, alpha)
     parallel = all(
@@ -510,23 +499,24 @@ def basic_pform_family(pi, p, max_degree):
     return [m * w for m in monos for w in wedges]
 
 
-def basic_form_family(pi, max_degree=2):
+def basic_form_family(pi, max_degree):
     """Kernel-frame forms times Casimir monomials, filtered to basic forms."""
     candidates = (w.as_oneform() for w in basic_pform_family(pi, 1, max_degree))
     return [alpha for alpha in candidates if is_basic_one_form(pi, alpha)]
 
 
-def bundle_like_report(split, max_degree=2):
+def bundle_like_report(split):
     """Reinhart-style test: pairings of basic forms must be Casimir.
 
-    For the enumerated family of basic 1-forms alpha, beta (each unordered
-    pair once) the function g(#alpha, #beta) = <alpha, beta> must be a
+    For the enumerated family of basic 1-forms alpha, beta (Casimir
+    coefficients up to degree ``BUNDLE_LIKE_DEGREE``, each unordered pair
+    once) the function g(#alpha, #beta) = <alpha, beta> must be a
     Casimir; the report also cross-checks that the induced tangent metric
     reproduces the pairing.
     Raises Inconclusive when the family is empty.
     """
     pi, g = split.pi, split.g
-    family = basic_form_family(pi, max_degree)
+    family = basic_form_family(pi, BUNDLE_LIKE_DEGREE)
     if not family:
         raise Inconclusive("no basic 1-forms found in the enumerated family")
     tangent = split.tangent_metric()

@@ -72,16 +72,6 @@ class Bivector(BilinearForm):
     def is_polynomial(self):
         return all(e.is_polynomial for row in self.matrix for e in row)
 
-    def max_entry_degree(self):
-        """Largest numerator total degree over the entries (0 for the zero bivector)."""
-        d = 0
-        for row in self.matrix:
-            for e in row:
-                t = e.total_degree()
-                if t > d:
-                    d = t
-        return d
-
     # -- the bundle map and brackets ----------------------------------------
 
     def sharp(self, alpha):

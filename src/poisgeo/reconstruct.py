@@ -50,6 +50,10 @@ from .tensor import (
 )
 
 
+# The largest monomial degree of the perpendicular foliate field ansatz
+ANSATZ_DEGREE = 2
+
+
 class FoliationInput:
     """Chart-level data (F, g, omega) for the converse construction."""
 
@@ -116,11 +120,11 @@ class FoliationInput:
         return [OneForm(self.chart, v) for v in vecs]
 
 
-def perpendicular_foliate_family(inp, ansatz_degree=2):
+def perpendicular_foliate_family(inp):
     """Perpendicular foliate fields with polynomial coefficients.
 
     Solves, over the rationals, for constants c in X = sum_t c_t m_t w_a
-    (monomials m up to ansatz_degree times the orthogonal frame) such that
+    (monomials m up to ``ANSATZ_DEGREE`` times the orthogonal frame) such that
     [X, f_j] stays in the span of the foliation frame.  Raises Inconclusive
     when only X = 0 satisfies the conditions.
     """
@@ -129,7 +133,7 @@ def perpendicular_foliate_family(inp, ansatz_degree=2):
     if not orth:
         return []
     monos = [
-        ScalarField(chart, {m: 1}, chart.one_poly) for m in monomials_upto(chart.dim, ansatz_degree)
+        ScalarField(chart, {m: 1}, chart.one_poly) for m in monomials_upto(chart.dim, ANSATZ_DEGREE)
     ]
     candidates = [m * w for m in monos for w in orth]
     ann = inp.annihilator_of_f()
@@ -178,7 +182,7 @@ def _coefficient_rows(fields):
     return [[Fraction(p.get(m, 0)) for p in numerators] for m in monos]
 
 
-def validate_input(inp, ansatz_degree=2):
+def validate_input(inp):
     """Check the construction hypotheses; raises on the first failure.
 
     (a) involutivity of the frame, (b) leafwise closedness of omega,
@@ -206,7 +210,7 @@ def validate_input(inp, ansatz_degree=2):
         if not interior_d(frame[a], inp.omega).apply([frame[b], frame[c]]).is_zero:
             raise NotLeafwiseClosed(f"d omega nonzero on frame triple {(a, b, c)}")
     inp._check_omega()
-    family = perpendicular_foliate_family(inp, ansatz_degree)
+    family = perpendicular_foliate_family(inp)
     for s, X in enumerate(family):
         lx = lie_derivative(X, inp.omega)
         for i in range(r):
@@ -338,10 +342,10 @@ def extract_foliation_input(pi, g, declared_rank, samples):
     return FoliationInput(pi.chart, split.ts_frame, tangent, omega, samples), split
 
 
-def round_trip(pi, g, declared_rank, samples, validate=True):
-    """Extract (F, g, omega), rebuild (pi', <,>'), compare exactly."""
+def round_trip(pi, g, declared_rank, samples):
+    """Extract (F, g, omega), validate it, rebuild (pi', <,>'), compare exactly."""
     inp, _ = extract_foliation_input(pi, g, declared_rank, samples)
-    evidence = validate_input(inp) if validate else None
+    evidence = validate_input(inp)
     pi2, g2 = build_structure(inp)
     return {
         "input": inp,

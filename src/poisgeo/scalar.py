@@ -395,8 +395,3 @@ class ScalarField:
 
     def __repr__(self):
         return f"ScalarField({self})"
-
-
-def coordinate_fields(chart):
-    """The tuple (x_0, ..., x_{n-1}) as ScalarFields."""
-    return tuple(ScalarField.coordinate(chart, i) for i in range(chart.dim))

@@ -217,6 +217,16 @@ def _alternating(cls, owner, degree, components, chart=None):
     return out
 
 
+def _pullback(cls, form, rows):
+    """The ``cls`` tensor (PForm or PVector) on form's chart whose component
+    at each increasing coordinate tuple I is form evaluated on the arguments
+    with component rows ``rows[i]``, i in I.  A degree-0 form's component is
+    its scalar, the empty evaluation."""
+    chart = form.chart
+    comps = {idx: form._apply([rows[i] for i in idx]) for idx in chart.increasing[form.degree]}
+    return _alternating(cls, chart, form.degree, comps)
+
+
 class _Components:
     """An alternating tensor on a frame of size k, stored as ``comps``: its
     nonzero ScalarField components on increasing k-frame index tuples.

@@ -114,3 +114,9 @@ def test_equality_is_type_exact():
     assert CoMetric(XY, m) == CoMetric(XY, m)
     assert hash(CoMetric(XY, m)) == hash(CoMetric(XY, m))
     assert CoMetric(XY, m) != TangentMetric(XY, m)
+
+
+@pytest.mark.parametrize("cls", [CoMetric, TangentMetric])
+def test_validate_refuses_empty_samples(cls):
+    with pytest.raises(PoisgeoError, match="at least one sample point"):
+        cls.identity(XY).validate([])

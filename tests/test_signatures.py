@@ -68,3 +68,32 @@ def _unread_parameters(path):
 def test_every_parameter_is_read():
     found = [hit for path in sorted(SRC.glob("*.py")) for hit in _unread_parameters(path)]
     assert [hit for hit in found if hit not in UNREAD_ALLOWED] == []
+
+
+# modules whose imports are their interface: they import to re-export
+REEXPORTING = {"__init__.py", "kernel.py"}
+
+
+def _unread_imports(path):
+    """(file, name) for each name the module imports and never loads."""
+    tree = ast.parse(path.read_text())
+    imported = {
+        (alias.asname or alias.name).split(".")[0]
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.Import, ast.ImportFrom))
+        for alias in node.names
+    }
+    loaded = {
+        n.id for n in ast.walk(tree) if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)
+    }
+    return sorted((path.name, name) for name in imported - loaded)
+
+
+def test_every_import_is_read():
+    found = [
+        hit
+        for path in sorted(SRC.glob("*.py"))
+        if path.name not in REEXPORTING
+        for hit in _unread_imports(path)
+    ]
+    assert found == []
