@@ -22,7 +22,6 @@ from itertools import combinations
 from . import __version__
 from .cohomology import thm31_cochain_report, truncated_betti
 from .connection import (
-    levi_civita,
     metric_defect_coordinate,
     riemann_poisson_defect,
     torsion_defect_coordinate,
@@ -166,7 +165,7 @@ def run_check_pipeline(spec):
     D = None
     rp = False
     if metric_ok:
-        D = levi_civita(pi, g)
+        D = spec.connection()
         # one pair or triple per orbit: the torsion defect is antisymmetric
         # in (i, j) and the metric defect symmetric in (j, k)
         torsion_ok = all(
@@ -349,8 +348,9 @@ def _emit(args, spec, digest, started, checks, extra=None, lines=()):
 
 
 # Parsed specs kept: (kind, spec) by the sha256 of the file's bytes, least
-# recently used first.  A 3-D spec with the caches its bivector fills during
-# a check, and its cotangent splitting, holds about 28 KB.
+# recently used first.  A generated 3-D spec with the caches its bivector
+# fills during a check, its cotangent splitting and its connection holds
+# 17-45 KB (tracemalloc, the first 16 check_generated specs of seed 8).
 _SPECS_SIZE = 16
 _specs = {}
 
@@ -361,10 +361,11 @@ def _load(path, samples_path, kind):
     The file is read and hashed on every call, so an edit is seen at once;
     it is parsed only when no earlier call in this process parsed the same
     bytes.  A spec comes back from ``_specs`` with the caches its bivector
-    filled then and, for a manifold, the cotangent splitting a check kept,
-    but every verdict is computed again by the caller.  A file that fails to
-    load is never kept, so its error names the path given.  A ``--samples``
-    override is a new spec that builds its own splitting.
+    filled then and, for a manifold, the cotangent splitting and Levi-Civita
+    connection a request kept, but every verdict is computed again by the
+    caller.  A file that fails to load is never kept, so its error names the
+    path given.  A ``--samples`` override is a new spec that builds its own
+    splitting and shares the kept connection.
     """
     raw, digest = read_spec_bytes(path)
     kept = _specs.pop(digest, None)
@@ -402,7 +403,7 @@ def _gamma_strings(spec, D):
 def cmd_christoffel(args):
     started = time.monotonic()
     spec, digest = _load(args.spec, args.samples, "manifold")
-    table = _gamma_strings(spec, levi_civita(spec.pi, spec.cometric))
+    table = _gamma_strings(spec, spec.connection())
     lines = [f"D[{row['along']}][{row['of']}] = {row['value']}" for row in table]
     _emit(args, spec, digest, started, None, {"christoffel": table}, lines)
     return 0

@@ -458,14 +458,9 @@ def dpi_preserves_split(split, p, d):
 
 
 def pi_pushforward(split, omega):
-    """Leafwise form -> multivector: (pi w)(a_1..a_p) = w(pi(a_1), .., pi(a_p))."""
-    sharp_rows = []
-    for i in range(split.chart.dim):
-        coeffs = split.leaf_coefficients(split.pi.sharp_basis(i))
-        if coeffs is None:
-            raise InternalInconsistency("pi image leaves the leaf tangents")
-        sharp_rows.append(coeffs)
-    return _pullback(PVector, omega, sharp_rows)
+    """Leafwise form -> multivector: (pi w)(a_1..a_p) = w(pi(a_1), .., pi(a_p)),
+    along the splitting's kept leaf rows of pi_sharp(dx_i)."""
+    return _pullback(PVector, omega, split.sharp_leaf_rows())
 
 
 def pushforward_naturality_residual(split, omega):

@@ -93,6 +93,7 @@ class FoliationSplit:
         "_frame_inverse",
         "_tangent_metric",
         "_pi_lie",
+        "_sharp_rows",
     )
 
     def __init__(self, pi, g, rank, samples, kernel_frame, perp_frame, ts_frame, h_frame):
@@ -109,6 +110,7 @@ class FoliationSplit:
         self._frame_inverse = None
         self._tangent_metric = None
         self._pi_lie = {}
+        self._sharp_rows = None
 
     @property
     def chart(self):
@@ -173,6 +175,20 @@ class FoliationSplit:
         if any(not c.is_zero for c in coeffs[self.rank:]):
             return None
         return coeffs[: self.rank]
+
+    def sharp_leaf_rows(self):
+        """The ts_frame coefficients of pi_sharp(dx_i), one row per
+        coordinate, taken once per split; InternalInconsistency when one of
+        them leaves the leaf tangents."""
+        if self._sharp_rows is None:
+            rows = []
+            for i in range(self.chart.dim):
+                coeffs = self.leaf_coefficients(self.pi.sharp_basis(i))
+                if coeffs is None:
+                    raise InternalInconsistency("pi image leaves the leaf tangents")
+                rows.append(coeffs)
+            self._sharp_rows = tuple(rows)
+        return self._sharp_rows
 
 
 def split_cotangent(pi, g, declared_rank, samples):
@@ -505,6 +521,15 @@ def basic_form_family(pi, max_degree):
     return [alpha for alpha in candidates if is_basic_one_form(pi, alpha)]
 
 
+def _bundle_like_family(pi):
+    """The basic 1-forms of degree ``BUNDLE_LIKE_DEGREE`` that the bundle-like
+    test pairs: they depend on pi alone, so the family is built once per
+    bivector and kept on it."""
+    if pi._bundle_like_family is None:
+        pi._bundle_like_family = tuple(basic_form_family(pi, BUNDLE_LIKE_DEGREE))
+    return pi._bundle_like_family
+
+
 def bundle_like_report(split):
     """Reinhart-style test: pairings of basic forms must be Casimir.
 
@@ -512,19 +537,21 @@ def bundle_like_report(split):
     coefficients up to degree ``BUNDLE_LIKE_DEGREE``, each unordered pair
     once) the function g(#alpha, #beta) = <alpha, beta> must be a
     Casimir; the report also cross-checks that the induced tangent metric
-    reproduces the pairing.
+    reproduces the pairing.  The family is the bivector's kept one, and
+    each #alpha is taken once.
     Raises Inconclusive when the family is empty.
     """
     pi, g = split.pi, split.g
-    family = basic_form_family(pi, BUNDLE_LIKE_DEGREE)
+    family = _bundle_like_family(pi)
     if not family:
         raise Inconclusive("no basic 1-forms found in the enumerated family")
     tangent = split.tangent_metric()
+    members = [(alpha, g.sharp(alpha)) for alpha in family]
     failures = []
     # both pairings are symmetric, so each unordered pair is checked once
-    for a, b in combinations_with_replacement(family, 2):
+    for (a, sharp_a), (b, sharp_b) in combinations_with_replacement(members, 2):
         pairing = g.pairing(a, b)
-        if tangent.pairing(g.sharp(a), g.sharp(b)) != pairing:
+        if tangent.pairing(sharp_a, sharp_b) != pairing:
             failures.append(("pairing_mismatch", a, b))
         if not pi.is_casimir(pairing):
             failures.append(("not_casimir", a, b))

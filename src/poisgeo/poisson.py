@@ -38,7 +38,7 @@ class Bivector(BilinearForm):
 
     __slots__ = (
         "_koszul_table", "_sharp_table", "_algebroid", "_dpi_complex",
-        "_kernel_frame", "basic_verdicts",
+        "_kernel_frame", "basic_verdicts", "_bundle_like_family",
     )
     noun = "bivector matrix"
     symmetry = -1
@@ -52,6 +52,7 @@ class Bivector(BilinearForm):
         self._kernel_frame = None
         # {1-form: verdict} of foliation.is_basic_one_form, one per distinct form
         self.basic_verdicts = {}
+        self._bundle_like_family = None  # foliation._bundle_like_family
 
     def as_pvector(self):
         n = self.chart.dim

@@ -18,7 +18,7 @@ except ImportError:
     from hashlib import sha256
 
 from .chart import Chart
-from .connection import CoMetric
+from .connection import CoMetric, levi_civita
 from .errors import PoleAtPoint, SpecFileError
 from .foliation import TangentMetric, split_cotangent
 from .parser import parse_scalar
@@ -34,7 +34,10 @@ class ManifoldSpec:
     spec's name when None); it is not kept.
     """
 
-    __slots__ = ("name", "chart", "pi", "cometric", "declared_rank", "samples", "_splitting")
+    __slots__ = (
+        "name", "chart", "pi", "cometric", "declared_rank", "samples", "_splitting",
+        "_connection",
+    )
 
     def __init__(self, name, chart, pi, cometric, declared_rank, samples, where=None):
         self.name = name
@@ -44,6 +47,7 @@ class ManifoldSpec:
         self.declared_rank = declared_rank
         self.samples = tuple(tuple(Fraction(c) for c in p) for p in samples)
         self._splitting = None
+        self._connection = None
         if not self.samples:
             raise SpecFileError("manifold spec needs at least one sample")
         for p in self.samples:
@@ -59,10 +63,13 @@ class ManifoldSpec:
         )
 
     def with_samples(self, samples, where=None):
-        """The same spec at other sample points, with no splitting kept."""
-        return ManifoldSpec(
+        """The same spec at other sample points, with no splitting kept; the
+        kept connection, which depends on (pi, cometric) alone, is handed over."""
+        spec = ManifoldSpec(
             self.name, self.chart, self.pi, self.cometric, self.declared_rank, samples, where
         )
+        spec._connection = self._connection
+        return spec
 
     def splitting(self):
         """The cotangent splitting of (pi, cometric, declared rank, samples),
@@ -74,6 +81,14 @@ class ManifoldSpec:
                 self.pi, self.cometric, self.declared_rank, self.samples
             )
         return self._splitting
+
+    def connection(self):
+        """The Levi-Civita Christoffel table of (pi, cometric), built on first
+        use and kept once it succeeds; a build that raises SingularMetric
+        keeps nothing and raises again on the next call."""
+        if self._connection is None:
+            self._connection = levi_civita(self.pi, self.cometric)
+        return self._connection
 
     def to_dict(self):
         n = self.chart.dim

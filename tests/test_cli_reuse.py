@@ -11,7 +11,10 @@ bytes: an edited file is parsed again, two paths with the same bytes share
 one spec, a file that fails to load is never kept, and past its bound the
 memo keeps the most recently used specs.  A splitting that fails is never
 kept, a ``--samples`` override builds its own, and what a kept generated
-spec holds after a check is bounded.
+spec holds after a check is bounded.  The Levi-Civita connection is built
+once per kept spec and shared by a ``--samples`` override, the bundle-like
+basic-form family once per bivector, and the leaf rows of pi_sharp once per
+splitting.
 """
 
 import contextlib
@@ -23,7 +26,7 @@ import tracemalloc
 from pathlib import Path
 
 from perfbench import specgen
-from poisgeo import cli, specfile
+from poisgeo import cli, foliation, specfile
 
 from conftest import CORPUS_NAMES, corpus_path
 
@@ -273,6 +276,115 @@ def test_failed_splitting_is_never_kept(monkeypatch):
     assert rank["status"] == "fail" and "differs from declared rank 2" in rank["detail"]
     assert len(built) == 3
     assert cli._load(str(path), None, "manifold")[0]._splitting is None
+
+
+def _count_connections(monkeypatch):
+    """The bivector of each levi_civita call a spec makes."""
+    built = []
+    original = specfile.levi_civita
+
+    def counted(pi, g):
+        built.append(pi)
+        return original(pi, g)
+
+    monkeypatch.setattr(specfile, "levi_civita", counted)
+    return built
+
+
+def test_each_kept_connection_is_built_once(monkeypatch):
+    """Across check, report, foliation and christoffel, twice over, every
+    corpus spec builds its Levi-Civita table once, so3_star too: the
+    connection needs no splitting."""
+    built = _count_connections(monkeypatch)
+    for name in CORPUS_NAMES:
+        path = str(corpus_path(name))
+        calls = [
+            ["check", path],
+            ["report", path, "--json"],
+            ["foliation", path],
+            ["christoffel", path, "--json"],
+        ]
+        for argv in calls * 2:
+            assert _call(argv)[0] in (0, 1), argv
+        spec = cli._load(path, None, "manifold")[0]
+        assert spec._connection is not None, name
+        assert sum(pi is spec.pi for pi in built) == 1, name
+    assert len(built) == len(CORPUS_NAMES)
+
+
+def test_samples_override_shares_the_kept_connection(monkeypatch, tmp_path):
+    path = str(corpus_path("r3_quadratic_nonparallel"))
+    override = tmp_path / "samples.json"
+    override.write_text(json.dumps([[1, 2, 3]]))
+    _check(path)
+    built = _count_connections(monkeypatch)
+    for argv in (["check", path, "--samples", str(override), "--json"],
+                 ["christoffel", path, "--samples", str(override), "--json"]) * 2:
+        assert _call(argv)[0] in (0, 1), argv
+    assert built == []
+
+
+def test_constructed_spec_builds_its_own_connection(monkeypatch):
+    """Each ``construct --verify`` checks a new spec, with a new table."""
+    built = _count_connections(monkeypatch)
+    outputs = [_call(["construct", FOLIATION, "--verify"]) for _ in range(2)]
+    assert outputs[0][0] == 0 and outputs == [outputs[0]] * 2
+    assert len(built) == 2 and built[0] is not built[1]
+
+
+def test_singular_cometric_keeps_no_connection(monkeypatch, tmp_path):
+    data = json.loads(corpus_path("r3_flat").read_text())
+    path = tmp_path / "singular.json"
+    path.write_text(json.dumps(dict(data, cometric=[[0, 0, "x"], [0, 1, "x"], [1, 1, "x"],
+                                                    [2, 2, "1"]])))
+    built = _count_connections(monkeypatch)
+    for _ in range(3):
+        code, out, err = _call(["christoffel", str(path), "--json"])
+        assert code == 2 and out == "" and "singular" in err, err
+    assert len(built) == 3
+    assert cli._load(str(path), None, "manifold")[0]._connection is None
+
+
+def test_bundle_like_family_is_built_once_per_bivector(monkeypatch):
+    built = []
+    original = foliation.basic_pform_family
+    monkeypatch.setattr(
+        foliation, "basic_pform_family", lambda *args: built.append(args) or original(*args)
+    )
+    path = str(corpus_path("r3_flat_zmetric"))
+    outputs = [_check(path) for _ in range(2)]
+    assert outputs[0] == outputs[1]
+    bundle = next(c for c in json.loads(outputs[0][1])["checks"] if c["name"] == "bundle_like")
+    assert bundle["status"] == "pass"
+    assert len(built) == 1
+
+
+def test_pushforward_rows_are_taken_once_per_splitting(monkeypatch):
+    """The thm31 report on r3_quadratic_nonparallel pushes 30 leaf cocycles
+    forward along three kept rows, plus one leaf bracket's coefficients."""
+    taken = []
+    original = foliation.FoliationSplit.leaf_coefficients
+    monkeypatch.setattr(
+        foliation.FoliationSplit, "leaf_coefficients",
+        lambda self, X: taken.append(X) or original(self, X),
+    )
+    path = str(corpus_path("r3_quadratic_nonparallel"))
+    code, out, _ = _call(["cohomology", path, "--p", "1", "--degree", "3", "--thm31", "--json"])
+    report = json.loads(out)
+    assert code == 1 and len(taken) == 4
+    assert report["betti"]["betti"] == 25
+    assert report["thm31"] == {
+        "basic_count": 4,
+        "basic_forms_closed": False,
+        "basic_window_dim": 4,
+        "betti_leafwise": 23,
+        "betti_pi": 25,
+        "dimension_match": False,
+        "leaf_cocycle_count": 30,
+        "p": 1,
+        "pushforwards_closed": True,
+        "window_degree": 3,
+    }
 
 
 def test_kept_generated_spec_holds_at_most_48_kb(tmp_path):
