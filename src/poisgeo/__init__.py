@@ -40,6 +40,7 @@ from .connection import (
     is_riemann_poisson,
     levi_civita,
     metric_defect,
+    prop_elementary_report,
     riemann_poisson_defect,
     torsion_defect,
 )
@@ -76,6 +77,7 @@ from .cohomology import (
     basic_pform_family,
     dpi_preserves_split,
     dpi_squared_matrix,
+    leafwise_truncated_betti,
     pi_pushforward,
     pushforward_naturality_residual,
     sharp_basic,

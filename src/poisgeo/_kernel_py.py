@@ -7,7 +7,6 @@ free of any class machinery; the other modules import them through
 ``poisgeo.kernel``.
 """
 
-from fractions import Fraction
 from operator import add
 
 
@@ -131,11 +130,6 @@ def poly_eval_parts(a, point):
             c *= w[m[i]]
         total += c
     return total, den
-
-
-def poly_eval(a, point):
-    """Evaluate at a tuple of rationals (exact): one Fraction of ``poly_eval_parts``."""
-    return Fraction(*poly_eval_parts(a, point))
 
 
 def grlex_key(m):

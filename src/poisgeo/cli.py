@@ -469,11 +469,10 @@ def cmd_cohomology(args):
         raise InvalidArgument(f"--p {args.p} outside 0..{dim} for a {dim}-dimensional chart")
     if args.degree < 0:
         raise InvalidArgument(f"--degree {args.degree} must be >= 0")
-    if not spec.pi.is_polynomial():
-        raise NonPolynomialBivector(
-            f"{args.spec}: cohomology windows need polynomial bivector entries"
-        )
-    result = truncated_betti(spec.pi, args.p, args.degree)
+    try:
+        result = truncated_betti(spec.pi, args.p, args.degree)
+    except NonPolynomialBivector as exc:
+        raise NonPolynomialBivector(f"{args.spec}: {exc}") from None
     extra = {"betti": result}
     lines = [
         f"b{args.p}(window d={args.degree}) = {result['betti']}  "

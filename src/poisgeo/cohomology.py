@@ -49,7 +49,6 @@ from .tensor import (
     _sort_sign,
     ce_differential,
     interior_d,
-    interior_form,
     interior_vector,
 )
 
@@ -113,13 +112,6 @@ class _Window:
         mono, idx = self.elements[k]
         return self._cochain({idx: ScalarField(self.chart, {mono: 1}, self.chart.one_poly)})
 
-    def coordinates_of(self, Q):
-        """Column of Q in this basis; raises WindowTooSmall on overflow."""
-        col = [0] * len(self.elements)
-        for k, coef in self.sparse_coordinates_of(Q).items():
-            col[k] = coef
-        return col
-
     def sparse_coordinates_of(self, Q):
         """The nonzero coordinates of Q in this basis, as {index: coefficient}."""
         if Q.degree != self.degree:
@@ -166,8 +158,6 @@ class GradedBasis(_Window):
 
     def _cochain(self, comps):
         return PVector(self.chart, self.degree, comps)
-
-    element_pvector = _Window.element
 
 
 class LeafBasis(_Window):
@@ -350,11 +340,6 @@ def _ce_shift(anchors, structure):
     )
 
 
-def degree_shift(pi):
-    """Worst-case increase in coefficient degree under d_pi."""
-    return _dpi_complex(pi).shift
-
-
 def _dpi_complex(pi):
     """The windowed complex of d_pi, the cotangent Lie algebroid's differential,
     built once per bivector and kept on it."""
@@ -419,16 +404,6 @@ def split_multivector(Q, split):
     return part0, part1
 
 
-def split_residuals(Q0, Q1, split):
-    """Verification data: kernel contractions of Q0 and perp evaluations of Q1."""
-    res0 = [interior_form(kappa, Q0) for kappa in split.kernel_frame]
-    res1 = []
-    p = Q1.degree
-    for idx in combinations(range(split.rank), p):
-        res1.append(Q1.apply([split.perp_frame[i] for i in idx]))
-    return res0, res1
-
-
 def dpi_preserves_split(split, p, d):
     """Check d_pi maps each summand of the (p, d) window into itself.
 
@@ -441,7 +416,7 @@ def dpi_preserves_split(split, p, d):
     pi = split.pi
     basis = GradedBasis(split.chart, p, d)
     for k in range(len(basis)):
-        B = basis.element_pvector(k)
+        B = basis.element(k)
         B0, B1 = split_multivector(B, split)
         if not B0.is_zero:
             _, bad = split_multivector(pi.d_pi(B0), split)
@@ -493,11 +468,6 @@ def sharp_basic(split, omega):
         raise NotBasic(witness)
     # row i of the cometric matrix holds the components of g_sharp(dx_i)
     return _pullback(PVector, omega, split.g.matrix)
-
-
-def leafwise_degree_shift(split, structure):
-    """Worst-case coefficient degree increase of d_F on polynomial windows."""
-    return _ce_shift(split.ts_frame, structure)
 
 
 def _leaf_complex(split, structure):

@@ -51,12 +51,6 @@ class CoMetric(SymmetricForm):
     __slots__ = ()
     noun = "cometric matrix"
 
-    @classmethod
-    def diagonal(cls, chart, diag):
-        n = chart.dim
-        zero = ScalarField.zero(chart)
-        return cls(chart, [[diag[i] if i == j else zero for j in range(n)] for i in range(n)])
-
     def sharp(self, alpha):
         """The metric identification T*P -> TP: beta(sharp(alpha)) = <alpha, beta>."""
         return _sharp(self, alpha)
@@ -116,27 +110,6 @@ def _leading_minors(rows):
         prev = pivot
 
 
-def _fraction_det(rows):
-    """Determinant of a square Fraction matrix: the leading-minor form of the
-    criterion above, which the tests compare it with."""
-    n = len(rows)
-    m = [list(r) for r in rows]
-    det = Fraction(1)
-    for c in range(n):
-        p = next((i for i in range(c, n) if m[i][c] != 0), None)
-        if p is None:
-            return Fraction(0)
-        if p != c:
-            m[c], m[p] = m[p], m[c]
-            det = -det
-        det *= m[c][c]
-        for i in range(c + 1, n):
-            factor = m[i][c] / m[c][c]
-            for j in range(c, n):
-                m[i][j] -= factor * m[c][j]
-    return det
-
-
 class ChristoffelTable:
     """Contravariant connection coefficients: D_{dx_i} dx_j = sum_k G[i][j][k] dx_k."""
 
@@ -146,9 +119,6 @@ class ChristoffelTable:
         self.chart = chart
         self.pi = pi
         self.gamma = tuple(tuple(tuple(row) for row in plane) for plane in gamma)
-
-    def coefficient(self, i, j, k):
-        return self.gamma[i][j][k]
 
     def basis_derivative(self, i, j):
         """D_{dx_i} dx_j as a OneForm."""
@@ -176,21 +146,6 @@ class ChristoffelTable:
                 if not db.is_zero:
                     comps[j] = comps[j] + a * db
         return OneForm(chart, comps)
-
-    def perturbed(self, i, j, k, delta=1):
-        """Copy with gamma[i][j][k] shifted by a constant (mutation testing)."""
-        shift = ScalarField.constant(self.chart, delta)
-        gamma = [
-            [
-                [
-                    self.gamma[a][b][c] + shift if (a, b, c) == (i, j, k) else self.gamma[a][b][c]
-                    for c in range(self.chart.dim)
-                ]
-                for b in range(self.chart.dim)
-            ]
-            for a in range(self.chart.dim)
-        ]
-        return ChristoffelTable(self.chart, self.pi, gamma)
 
 
 def levi_civita(pi, g):
@@ -330,8 +285,9 @@ def cyclic_d_pi(D, pi, alpha, beta, gamma_form):
     )
 
 
-def prop_elementary_report(split):
-    """The three elementary closure properties of the connection.
+def prop_elementary_report(split, D):
+    """The three elementary closure properties of the Levi-Civita connection
+    D of the splitting's pi and g.
 
     1. pi(b) = 0 implies pi(D_a b) = 0 for every coordinate a;
     2. pi(a) = 0 implies D_a = 0 (checked on coordinate forms);
@@ -341,7 +297,6 @@ def prop_elementary_report(split):
     "perp_closed": bool} evaluated on the split frames.
     """
     pi, g = split.pi, split.g
-    D = levi_civita(pi, g)
     chart = pi.chart
     n = chart.dim
     coords = [OneForm.basis(chart, i) for i in range(n)]

@@ -7,7 +7,6 @@ from ._kernel_py import (
     grlex_key,
     poly_add,
     poly_diff,
-    poly_eval,
     poly_eval_parts,
     poly_lead,
     poly_mul,

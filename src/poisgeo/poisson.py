@@ -28,7 +28,6 @@ from .tensor import (
     ce_differential,
     exterior_d,
     interior_vector,
-    lie_bracket,
 )
 
 
@@ -69,9 +68,6 @@ class Bivector(BilinearForm):
                 OneForm(self.chart, v) for v in self.field_matrix().kernel_basis()
             )
         return self._kernel_frame
-
-    def is_polynomial(self):
-        return all(e.is_polynomial for row in self.matrix for e in row)
 
     # -- the bundle map and brackets ----------------------------------------
 
@@ -196,15 +192,6 @@ class Bivector(BilinearForm):
         if i < j:
             return self._koszul_table[(i, j)]
         return -self._koszul_table[(j, i)]
-
-    def homomorphism_defect(self, alpha, beta):
-        """pi_sharp([alpha,beta]_pi) - [pi_sharp(alpha), pi_sharp(beta)].
-
-        Identically zero exactly when the bracket satisfies Jacobi.
-        """
-        lhs = self.sharp(self.koszul(alpha, beta))
-        rhs = lie_bracket(self.sharp(alpha), self.sharp(beta))
-        return lhs - rhs
 
     def is_casimir(self, f):
         """True iff pi_sharp(df) vanishes identically."""

@@ -158,17 +158,6 @@ class ScalarField:
             return -1
         return max(sum(m) for m in self._num)
 
-    def monic_parts(self):
-        """(num, den) with Fraction coefficients and monic denominator.
-
-        This is the normalization in which the denominator's graded-lex
-        leading coefficient is exactly 1.
-        """
-        lc = self._den[poly_lead(self._den)]
-        num = {m: Fraction(c, lc) for m, c in self._num.items()}
-        den = {m: Fraction(c, lc) for m, c in self._den.items()}
-        return num, den
-
     def num_dict(self):
         return dict(self._num)
 

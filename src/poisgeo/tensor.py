@@ -444,11 +444,6 @@ class PVector(_Alternating):
             raise PoisgeoError("argument count must match the degree")
         return self._apply([a.comps for a in forms])
 
-    def as_vector(self):
-        if self.degree != 1:
-            raise PoisgeoError("not a 1-vector")
-        return VectorField(self.chart, tuple(self.component((i,)) for i in range(self.chart.dim)))
-
     def __repr__(self):
         return self._repr_symbols("d/d{}")
 

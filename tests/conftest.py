@@ -99,7 +99,9 @@ def g_id3(chart3):
 @pytest.fixture(scope="session")
 def g_z3(chart3):
     one = ScalarField.one(chart3)
-    return CoMetric.diagonal(chart3, [one, one, parse_scalar("1/(1+z^2)", chart3)])
+    return CoMetric.from_upper(
+        chart3, {(0, 0): one, (1, 1): one, (2, 2): parse_scalar("1/(1+z^2)", chart3)}
+    )
 
 
 @pytest.fixture(autouse=True)

@@ -6,13 +6,13 @@ checks as ``assemble_dpi_matrix``.
 """
 
 from poisgeo import RationalMatrix
-from poisgeo.cohomology import GradedBasis, degree_shift
+from poisgeo.cohomology import GradedBasis, _dpi_complex
 from poisgeo.errors import WindowTooSmall
 
 
 def naive_dpi_matrix(pi, p, d_in, d_out):
     """(matrix, source basis, target basis) of d_pi from (p, d_in) into (p+1, d_out)."""
-    shift = degree_shift(pi)
+    shift = _dpi_complex(pi).shift
     if d_out < d_in + shift:
         raise WindowTooSmall(
             f"target degree bound {d_out} cannot hold the image (need {d_in + shift})"
@@ -20,7 +20,7 @@ def naive_dpi_matrix(pi, p, d_in, d_out):
     source = GradedBasis(pi.chart, p, d_in)
     target = GradedBasis(pi.chart, p + 1, d_out)
     cols = [
-        target.sparse_coordinates_of(pi.d_pi(source.element_pvector(k)))
+        target.sparse_coordinates_of(pi.d_pi(source.element(k)))
         for k in range(len(source))
     ]
     return RationalMatrix.from_columns(cols, len(target)), source, target

@@ -8,7 +8,8 @@ cometric pairings afresh,
 
 with no table shared between entries, so it checks the package's
 ``levi_civita`` (which builds the right-hand side from two tables) on the
-same linear solve.
+same linear solve.  ``perturbed_table`` plants a fault in a table, for the
+checks that must catch it.
 """
 
 from fractions import Fraction
@@ -50,3 +51,10 @@ def naive_levi_civita(pi, g):
         for k in range(n):
             gamma[i][j][k] = half * sols.entry(k, col)
     return ChristoffelTable(chart, pi, gamma)
+
+
+def perturbed_table(D, i, j, k, delta=1):
+    """Copy of the table D with gamma[i][j][k] shifted by a constant."""
+    gamma = [[list(row) for row in plane] for plane in D.gamma]
+    gamma[i][j][k] = gamma[i][j][k] + ScalarField.constant(D.chart, delta)
+    return ChristoffelTable(D.chart, D.pi, gamma)

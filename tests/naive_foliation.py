@@ -12,16 +12,16 @@
 * ``naive_koszul`` writes both bracket expressions with two full
   ``lie_derivative`` calls and two full contractions.
 * ``naive_positive_definite`` evaluates every leading principal minor as a
-  determinant.
+  determinant (``fraction_det``, Gaussian elimination over Fraction).
 
 So they check the package's shared-ingredient versions on the same inputs.
 """
 
+from fractions import Fraction
 from itertools import combinations
 
 from poisgeo import ScalarField, TangentMetric
 from poisgeo.chart import as_point
-from poisgeo.connection import _fraction_det
 from poisgeo.errors import InternalInconsistency, NotPositiveDefiniteAt, SingularMatrix
 from poisgeo.linalg import FieldMatrix
 from poisgeo.tensor import exterior_d, interior_d, lie_derivative, lie_derivative_bivector
@@ -105,6 +105,26 @@ def naive_positive_definite(chart, matrix, samples):
     for pt in pts:
         values = [[e.eval_at(pt) for e in row] for row in matrix]
         for k in range(1, n + 1):
-            if _fraction_det([row[:k] for row in values[:k]]) <= 0:
+            if fraction_det([row[:k] for row in values[:k]]) <= 0:
                 raise NotPositiveDefiniteAt(pt, k - 1)
     return pts
+
+
+def fraction_det(rows):
+    """Determinant of a square Fraction matrix, by Gaussian elimination."""
+    n = len(rows)
+    m = [list(r) for r in rows]
+    det = Fraction(1)
+    for c in range(n):
+        p = next((i for i in range(c, n) if m[i][c] != 0), None)
+        if p is None:
+            return Fraction(0)
+        if p != c:
+            m[c], m[p] = m[p], m[c]
+            det = -det
+        det *= m[c][c]
+        for i in range(c + 1, n):
+            factor = m[i][c] / m[c][c]
+            for j in range(c, n):
+                m[i][j] -= factor * m[c][j]
+    return det

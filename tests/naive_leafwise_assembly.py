@@ -6,14 +6,14 @@ the shared assembler.
 """
 
 from poisgeo import RationalMatrix
-from poisgeo.cohomology import LeafBasis, leafwise_degree_shift
+from poisgeo.cohomology import LeafBasis, _leaf_complex
 from poisgeo.errors import WindowTooSmall
 from poisgeo.foliation import leafwise_d
 
 
 def naive_leafwise_matrix(split, structure, p, d_in, d_out):
     """(matrix, source basis, target basis) of d_F from (p, d_in) into (p+1, d_out)."""
-    shift = leafwise_degree_shift(split, structure)
+    shift = _leaf_complex(split, structure).shift
     if d_out < d_in + shift:
         raise WindowTooSmall(
             f"target degree bound {d_out} cannot hold the image (need {d_in + shift})"

@@ -43,6 +43,7 @@ from poisgeo.errors import InvarianceFails
 import gen
 from conftest import CORPUS_NAMES, RP_NAMES, corpus_path
 from naive_cohomology import naive_betti_r2
+from naive_connection import perturbed_table
 
 
 def _verdict(number, slug, started):
@@ -77,7 +78,7 @@ def test_criterion_01_connection_identities(corpus):
         for i in range(n):
             for j in range(n):
                 for k in range(n):
-                    bad = D.perturbed(i, j, k)
+                    bad = perturbed_table(D, i, j, k)
                     broken = any(
                         not torsion_defect(bad, pi, a, b).is_zero
                         for a in coords
@@ -122,9 +123,9 @@ def test_criterion_03_cyclic_parallelism_vs_jacobiator(corpus):
 
     def second_metric(chart):
         primes = [2, 3, 5, 7, 11, 13]
-        return CoMetric.diagonal(
+        return CoMetric.from_upper(
             chart,
-            [ScalarField.constant(chart, primes[i]) for i in range(chart.dim)],
+            {(i, i): ScalarField.constant(chart, primes[i]) for i in range(chart.dim)},
         )
 
     # determine the constant once, on the bundled non-Poisson witness

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from poisgeo import Bivector, Chart, ScalarField, assemble_dpi_matrix, parse_scalar
-from poisgeo.cohomology import degree_shift
+from poisgeo.cohomology import _dpi_complex
 from poisgeo.errors import PoisgeoError
 
 from conftest import CORPUS_NAMES, load_corpus
@@ -61,7 +61,7 @@ def test_random_bivectors_match_naive_assembly(pi, data):
     p = data.draw(st.integers(0, n - 1))
     d_in = data.draw(st.integers(0, 3 if n < 4 else 2))
     # one in three target bounds is one too small, so both must refuse it
-    d_out = max(d_in + degree_shift(pi), 0) + data.draw(st.integers(-1, 1))
+    d_out = max(d_in + _dpi_complex(pi).shift, 0) + data.draw(st.integers(-1, 1))
     assert_same_assembly(pi, p, d_in, d_out)
 
 
@@ -78,7 +78,7 @@ def _so3_plus_line():
 @pytest.mark.parametrize("name", CORPUS_NAMES + ["so3_plus_line"])
 def test_corpus_windows_match_naive_assembly(name):
     pi = _so3_plus_line() if name == "so3_plus_line" else load_corpus(name).pi
-    shift = degree_shift(pi)
+    shift = _dpi_complex(pi).shift
     for p in range(pi.chart.dim):
         for d_in in range(4):
             for extra in (0, 1):

@@ -9,20 +9,24 @@ from poisgeo import (
     CoMetric,
     OneForm,
     ScalarField,
+    connection,
     cyclic_d_pi,
     d_pi_tensor,
     is_riemann_poisson,
     levi_civita,
     metric_defect,
     parse_scalar,
+    prop_elementary_report,
     riemann_poisson_defect,
+    specfile,
     torsion_defect,
 )
-from poisgeo.connection import d_pi_tensor_coordinate, prop_elementary_report, _fraction_det
+from poisgeo.connection import d_pi_tensor_coordinate
 from poisgeo.errors import NotPositiveDefiniteAt, NotSymmetric, SingularMetric
 from poisgeo.foliation import split_cotangent
 
 import gen
+from naive_connection import perturbed_table
 from oracle import central_diff_along, central_diff_partial, rel_close
 
 CH3 = Chart(["x", "y", "z"])
@@ -46,7 +50,7 @@ class TestCometric:
 
     def test_not_positive_definite(self, chart2):
         one = ScalarField.one(chart2)
-        g = CoMetric.diagonal(chart2, [one, -one])
+        g = CoMetric.from_upper(chart2, {(0, 0): one, (1, 1): -one})
         with pytest.raises(NotPositiveDefiniteAt):
             g.validate([[0, 0]])
 
@@ -68,7 +72,7 @@ class TestChristoffelSolve:
     def test_flat_identity_all_zero(self, pi_flat3, g_id3):
         D = levi_civita(pi_flat3, g_id3)
         assert all(
-            D.coefficient(i, j, k).is_zero
+            D.gamma[i][j][k].is_zero
             for i in range(3)
             for j in range(3)
             for k in range(3)
@@ -77,7 +81,7 @@ class TestChristoffelSolve:
     def test_flat_zmetric_all_zero(self, pi_flat3, g_z3):
         D = levi_civita(pi_flat3, g_z3)
         assert all(
-            D.coefficient(i, j, k).is_zero
+            D.gamma[i][j][k].is_zero
             for i in range(3)
             for j in range(3)
             for k in range(3)
@@ -114,7 +118,7 @@ class TestChristoffelSolve:
         D = levi_civita(pi_quadratic, g_id3)
         coords = forms3()
         for (i, j, k) in [(0, 1, 2), (0, 0, 0), (2, 1, 0), (1, 1, 1)]:
-            bad = D.perturbed(i, j, k)
+            bad = perturbed_table(D, i, j, k)
             broken = False
             for a in coords:
                 for b in coords:
@@ -149,7 +153,7 @@ class TestChristoffelSolve:
                         for k in range(n):
                             lhs = 2 * sum(
                                 (
-                                    D.coefficient(i, j, l) * g.entry(l, k)
+                                    D.gamma[i][j][l] * g.entry(l, k)
                                     for l in range(n)
                                 ),
                                 ScalarField.zero(chart),
@@ -234,7 +238,7 @@ class TestCyclicSum:
 
     def test_metric_independence(self, pi_nonpoisson, pi_quadratic, g_id3):
         dx, dy, dz = forms3()
-        g2 = CoMetric.diagonal(CH3, [P("2"), P("2"), P("3")])
+        g2 = CoMetric.from_upper(CH3, {(0, 0): P("2"), (1, 1): P("2"), (2, 2): P("3")})
         for pi in (pi_nonpoisson, pi_quadratic):
             c1 = cyclic_d_pi(levi_civita(pi, g_id3), pi, dx, dy, dz)
             c2 = cyclic_d_pi(levi_civita(pi, g2), pi, dx, dy, dz)
@@ -244,7 +248,7 @@ class TestCyclicSum:
 class TestElementaryProperties:
     def test_flat_passes(self, pi_flat3, g_id3):
         split = split_cotangent(pi_flat3, g_id3, 2, [[0, 0, 0], [1, 1, 2]])
-        rep = prop_elementary_report(split)
+        rep = prop_elementary_report(split, levi_civita(pi_flat3, g_id3))
         assert all(rep.values())
 
     def test_parallel_corpus_passes(self, rp_corpus):
@@ -252,28 +256,36 @@ class TestElementaryProperties:
             split = split_cotangent(
                 spec.pi, spec.cometric, spec.declared_rank, spec.samples
             )
-            rep = prop_elementary_report(split)
+            rep = prop_elementary_report(split, spec.connection())
             assert all(rep.values()), (name, rep)
 
     def test_quadratic_fails_kernel_kills(self, pi_quadratic, g_id3):
         split = split_cotangent(pi_quadratic, g_id3, 2, [[0, 0, 0], [1, 1, 2]])
-        rep = prop_elementary_report(split)
-        assert not rep["kernel_kills"]
         D = levi_civita(pi_quadratic, g_id3)
+        rep = prop_elementary_report(split, D)
+        assert not rep["kernel_kills"]
         dz, dx = OneForm.basis(CH3, 2), OneForm.basis(CH3, 0)
         assert D.derivative(dz, dx) == P("-z") * OneForm.basis(CH3, 1)
 
     def test_plane_vacuous(self, pi_flat2, chart2):
         g = CoMetric.identity(chart2)
         split = split_cotangent(pi_flat2, g, 2, [[0, 0]])
-        rep = prop_elementary_report(split)
+        rep = prop_elementary_report(split, levi_civita(pi_flat2, g))
         assert all(rep.values())
 
-
-def test_fraction_det():
-    assert _fraction_det([[Fraction(2)]]) == 2
-    assert _fraction_det([[1, 2], [3, 4]]) == -2
-    assert _fraction_det([[1, 2], [2, 4]]) == 0
+    def test_kept_connection_builds_no_table(self, rp_corpus, monkeypatch):
+        """On every Riemann-Poisson corpus spec the report reads the
+        caller's D: once the spec keeps its table, no table is built."""
+        assert rp_corpus
+        for spec in rp_corpus.values():
+            spec.connection()
+        built = []
+        for module in (connection, specfile):
+            monkeypatch.setattr(module, "levi_civita", lambda pi, g: built.append(pi))
+        for name, spec in rp_corpus.items():
+            rep = prop_elementary_report(spec.splitting(), spec.connection())
+            assert all(rep.values()), (name, rep)
+        assert built == []
 
 
 class TestCurvedParallelExample:
@@ -301,15 +313,15 @@ class TestCurvedParallelExample:
         pi, g = structure
         D = levi_civita(pi, g)
         assert any(
-            not D.coefficient(i, j, k).is_zero
+            not D.gamma[i][j][k].is_zero
             for i in range(2)
             for j in range(2)
             for k in range(2)
         )
         assert is_riemann_poisson(pi, g)
         ch = pi.chart
-        assert D.coefficient(1, 1, 0) == parse_scalar("-1", ch)
-        assert D.coefficient(0, 0, 1) == parse_scalar("x^3+x", ch)
+        assert D.gamma[1][1][0] == parse_scalar("-1", ch)
+        assert D.gamma[0][0][1] == parse_scalar("x^3+x", ch)
 
     def test_leaf_connection_parallel_and_round_trip(self, structure):
         from poisgeo import round_trip

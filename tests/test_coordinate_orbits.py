@@ -25,6 +25,7 @@ from poisgeo.connection import (
 )
 
 from conftest import CORPUS_NAMES
+from naive_connection import perturbed_table
 from test_lie_poisson_connection import gl2, lie_poisson
 
 
@@ -65,7 +66,7 @@ def test_orbits_on_perturbed_corpus_tables(corpus, name):
     D = levi_civita(pi, g)
     _orbits_hold(D, pi, g)
     for triple in product(range(pi.chart.dim), repeat=3):
-        _orbits_hold(D.perturbed(*triple), pi, g)
+        _orbits_hold(perturbed_table(D, *triple), pi, g)
 
 
 def test_orbits_on_perturbed_lie_poisson_tables():
@@ -74,7 +75,7 @@ def test_orbits_on_perturbed_lie_poisson_tables():
     _orbits_hold(D, pi, g)
     defects = 0
     for triple in product(range(pi.chart.dim), repeat=3):
-        perturbed = D.perturbed(*triple, delta=-2)
+        perturbed = perturbed_table(D, *triple, delta=-2)
         _orbits_hold(perturbed, pi, g)
         defects += riemann_poisson_defect(pi, g, perturbed) is not None
     assert defects

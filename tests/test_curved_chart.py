@@ -75,7 +75,7 @@ def test_certified_parallel(structure):
     assert is_riemann_poisson(pi, g)
     D = levi_civita(pi, g)
     assert any(
-        not D.coefficient(i, j, k).is_zero
+        not D.gamma[i][j][k].is_zero
         for i in range(3)
         for j in range(3)
         for k in range(3)

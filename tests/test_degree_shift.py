@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from poisgeo import Bivector, Chart, ScalarField, split_cotangent
-from poisgeo.cohomology import degree_shift, leafwise_degree_shift
+from poisgeo.cohomology import _dpi_complex, _leaf_complex
 from poisgeo.errors import NonPolynomialBivector, PoisgeoError
 from poisgeo.foliation import _ts_structure_coefficients
 
@@ -57,14 +57,14 @@ def bivectors(draw):
 @settings(max_examples=80, deadline=None)
 def test_dpi_shift_is_largest_entry_degree_minus_one(pi):
     largest = max(e.total_degree() for row in pi.matrix for e in row)
-    assert degree_shift(pi) == max(largest, 0) - 1
+    assert _dpi_complex(pi).shift == max(largest, 0) - 1
 
 
 def test_dpi_shift_of_zero_and_constant_bivectors():
     chart = CHARTS[3]
-    assert degree_shift(Bivector.from_upper(chart, {})) == -1
+    assert _dpi_complex(Bivector.from_upper(chart, {})).shift == -1
     plane = Bivector.from_upper(chart, {(0, 1): chart.one_field})
-    assert degree_shift(plane) == -1
+    assert _dpi_complex(plane).shift == -1
 
 
 def test_dpi_shift_refuses_rational_entries():
@@ -72,7 +72,7 @@ def test_dpi_shift_refuses_rational_entries():
     x = ScalarField.coordinate(chart, 0)
     pi = Bivector.from_upper(chart, {(0, 1): chart.one_field / (1 + x * x)})
     with pytest.raises(NonPolynomialBivector):
-        degree_shift(pi)
+        _dpi_complex(pi)
 
 
 def _reference_leafwise_shift(split, structure):
@@ -88,7 +88,7 @@ def _reference_leafwise_shift(split, structure):
 
 def _shift_or_error(split, structure):
     try:
-        return leafwise_degree_shift(split, structure)
+        return _leaf_complex(split, structure).shift
     except NonPolynomialBivector:
         return NonPolynomialBivector
 

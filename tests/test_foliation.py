@@ -162,7 +162,7 @@ class TestInducedMetric:
 
         one = ScalarField.one(chart2)
         pi = Bivector.from_upper(chart2, {(0, 1): one})
-        g = CoMetric.diagonal(chart2, [one, parse_scalar("2", chart2)])
+        g = CoMetric.from_upper(chart2, {(0, 0): one, (1, 1): parse_scalar("2", chart2)})
         sp = split_cotangent(pi, g, 2, [[0, 0]])
         tm = induced_tangent_metric(sp)
         inverse = g.field_matrix().inverse()

@@ -10,6 +10,8 @@ elimination of [M | B] must report M's own rank, and the Koszul cross-check
 must still catch a wrong pairing.
 """
 
+from fractions import Fraction
+
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
@@ -31,6 +33,7 @@ from poisgeo.linalg import FieldMatrix
 
 from conftest import CORPUS_NAMES
 from naive_foliation import (
+    fraction_det,
     naive_frame_inverse,
     naive_induced_tangent_metric,
     naive_invariance_report,
@@ -200,3 +203,9 @@ def test_koszul_cross_check_catches_a_wrong_pairing(monkeypatch, chart3, pi_so3)
     fresh = Bivector(chart3, pi_so3.matrix)
     with pytest.raises(InternalInconsistency):
         fresh.koszul_coordinate(0, 1)
+
+
+def test_fraction_det():
+    assert fraction_det([[Fraction(2)]]) == 2
+    assert fraction_det([[1, 2], [3, 4]]) == -2
+    assert fraction_det([[1, 2], [2, 4]]) == 0

@@ -5,7 +5,7 @@ from fractions import Fraction
 import pytest
 
 from poisgeo import Bivector, Chart, CoMetric, parse_scalar, split_cotangent
-from poisgeo.cohomology import _leaf_complex, leafwise_degree_shift
+from poisgeo.cohomology import _leaf_complex
 from poisgeo.errors import PoisgeoError
 from poisgeo.foliation import _ts_structure_coefficients
 
@@ -52,7 +52,7 @@ def _outcome(assemble, split, structure, p, d_in, d_out):
 def test_leafwise_windows_match_naive_assembly(splits, name):
     split = splits[name]
     structure = _ts_structure_coefficients(split)
-    shift = leafwise_degree_shift(split, structure)
+    shift = _leaf_complex(split, structure).shift
     refused = built = 0
     for p in range(split.rank + 1):
         for d_in in range(4):

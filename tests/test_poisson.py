@@ -6,6 +6,7 @@ from poisgeo import (
     ScalarField,
     VectorField,
     exterior_d,
+    lie_bracket,
     parse_scalar,
 )
 
@@ -21,6 +22,12 @@ def P(s, chart=CH3):
 
 def d(f):
     return exterior_d(f).as_oneform()
+
+
+def homomorphism_defect(pi, alpha, beta):
+    """pi_sharp([alpha,beta]_pi) - [pi_sharp(alpha), pi_sharp(beta)]: identically
+    zero exactly when the bracket satisfies Jacobi."""
+    return pi.sharp(pi.koszul(alpha, beta)) - lie_bracket(pi.sharp(alpha), pi.sharp(beta))
 
 
 class TestSharp:
@@ -134,10 +141,10 @@ class TestHomomorphism:
     def test_examples(self, pi_flat2, pi_so3, pi_nonpoisson, chart2):
         x2, y2 = (ScalarField.coordinate(chart2, i) for i in range(2))
         dx2, dy2 = (OneForm.basis(chart2, i) for i in range(2))
-        assert pi_flat2.homomorphism_defect(x2 * dy2, y2 * dx2).is_zero
+        assert homomorphism_defect(pi_flat2, x2 * dy2, y2 * dx2).is_zero
         dx, dy = OneForm.basis(CH3, 0), OneForm.basis(CH3, 1)
-        assert pi_so3.homomorphism_defect(dx, dy).is_zero
-        assert not pi_nonpoisson.homomorphism_defect(dx, dy).is_zero
+        assert homomorphism_defect(pi_so3, dx, dy).is_zero
+        assert not homomorphism_defect(pi_nonpoisson, dx, dy).is_zero
 
     def test_random_forms_on_poisson(self, pi_so3, pi_quadratic):
         r = gen.rng(27)
@@ -145,7 +152,7 @@ class TestHomomorphism:
             for _ in range(10):
                 a = gen.rand_one_form(r, CH3)
                 b = gen.rand_one_form(r, CH3)
-                assert pi.homomorphism_defect(a, b).is_zero
+                assert homomorphism_defect(pi, a, b).is_zero
 
 
 class TestCasimir:
@@ -158,14 +165,14 @@ class TestCasimir:
 class TestDifferential:
     def test_degree_zero(self, pi_flat2, chart2):
         v = pi_flat2.d_pi(ScalarField.coordinate(chart2, 0))
-        assert v.as_vector() == -VectorField.basis(chart2, 1)
+        assert v == (-VectorField.basis(chart2, 1)).as_pvector()
 
     def test_degree_zero_sign_convention(self, pi_so3):
         """d_pi f = -pi_sharp(df) under the sharp convention used here."""
         r = gen.rng(28)
         for _ in range(8):
             f = gen.rand_poly_field(r, CH3)
-            assert pi_so3.d_pi(f).as_vector() == -pi_so3.sharp(d(f))
+            assert pi_so3.d_pi(f) == (-pi_so3.sharp(d(f))).as_pvector()
 
     def test_on_constant_bivector(self, pi_flat3):
         assert pi_flat3.d_pi(pi_flat3.as_pvector()).is_zero

@@ -206,7 +206,7 @@ class TestRoundTrip:
         two = parse_scalar("2", chart2)
         three = parse_scalar("3", chart2)
         pi = Bivector.from_upper(chart2, {(0, 1): one})
-        g = CoMetric.diagonal(chart2, [two, three])
+        g = CoMetric.from_upper(chart2, {(0, 0): two, (1, 1): three})
         result = round_trip(pi, g, 2, [[0, 0], [1, 1]])
         assert result["pi_equal"] and result["cometric_equal"]
 

@@ -6,7 +6,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from poisgeo import RationalMatrix, assemble_dpi_matrix, truncated_betti
-from poisgeo.cohomology import degree_shift
+from poisgeo.cohomology import _dpi_complex
 
 from dense_elimination import dense_extension, dense_kernel_basis, dense_rank
 
@@ -86,7 +86,7 @@ def test_product_and_column_extension_match_dense(shape, data):
 
 def _reference_representatives(pi, p, d):
     """Kernel basis and representatives of the (p, d) window by dense elimination."""
-    shift = degree_shift(pi)
+    shift = _dpi_complex(pi).shift
     mat, basis, _ = assemble_dpi_matrix(pi, p, d, max(d + shift, 0))
     kernel = dense_kernel_basis([list(row) for row in mat.entries], mat.cols)
     image, _, _ = assemble_dpi_matrix(pi, p - 1, d - shift, d)

@@ -13,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from poisgeo import Bivector, Chart, ScalarField, truncated_betti
-from poisgeo.cohomology import GradedBasis, degree_shift
+from poisgeo.cohomology import GradedBasis, _dpi_complex
 
 from dense_elimination import dense_extension, dense_kernel_basis, dense_rank
 from naive_assembly import naive_dpi_matrix
@@ -60,7 +60,7 @@ def bivectors(draw):
 def reference(pi, p, d):
     """(kernel_dim, image_rank, representatives) from naively assembled
     matrices, dense ranks and a dense kernel basis."""
-    shift = degree_shift(pi)
+    shift = _dpi_complex(pi).shift
     basis = GradedBasis(pi.chart, p, d)
     if p == pi.chart.dim:
         kernel = dense_kernel_basis([], len(basis))
